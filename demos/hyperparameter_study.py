@@ -10,18 +10,12 @@ similarity loss alone; beta=0 removes the pull toward the +-1 corners.
     python3 demos/hyperparameter_study.py        (takes ~half a minute)
 """
 
-import numpy as np
-
 from jointhash import (
     Hyperparams,
     TrainConfig,
-    affine_hash,
-    binarize,
-    class_scores,
+    encode,
     encode_database,
     evaluate,
-    pack_codes,
-    predict_labels,
     synth_dataset,
     train,
     train_test_split,
@@ -36,9 +30,7 @@ def score(eta, beta, bits, seed=0):
                         batch_size=32, epochs=100, seed=seed)
     params, _ = train(train_set, TrainConfig(hyper))
     table = encode_database(params, train_set)
-    u = affine_hash(test_set.features, params)
-    codes = np.atleast_2d(pack_codes(binarize(u)))
-    predicted = predict_labels(class_scores(u, params))
+    codes, predicted = encode(params, test_set.features)
     report = evaluate(table, codes, test_set.labels,
                       query_predicted=predicted)
     return report.map, report.oa

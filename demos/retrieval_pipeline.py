@@ -9,18 +9,12 @@ set. Run from the repository root:
     python3 demos/retrieval_pipeline.py
 """
 
-import numpy as np
-
 from jointhash import (
     Hyperparams,
     TrainConfig,
-    affine_hash,
-    binarize,
-    class_scores,
+    encode,
     encode_database,
     evaluate,
-    pack_codes,
-    predict_labels,
     rank_all,
     synth_dataset,
     train,
@@ -53,11 +47,11 @@ print(f"code table: {len(table)} codes x {table.code_bits} bits "
       f"({table.codes.shape[1]} words each)")
 
 # ---------------------------------------------------------------------------
-# Answer one query: encode, rank by Hamming distance, read off the neighbors
-# with their true and predicted labels.
-query_u = affine_hash(test_set.features[0], params)
-query_code = pack_codes(binarize(query_u))
-ranking = rank_all(query_code, table).head(5)
+# Encode the held-out set into packed codes and predicted labels. Answer its
+# first query: rank by Hamming distance, read off the neighbors with their
+# true and predicted labels.
+query_codes, predicted = encode(params, test_set.features)
+ranking = rank_all(query_codes[0], table).head(5)
 print(f"\nquery with true label {test_set.labels[0]}, top 5 neighbors:")
 for rank in range(5):
     print(f"  #{rank + 1}: id={ranking.ids[rank]:4d} "
@@ -67,9 +61,6 @@ for rank in range(5):
 # ---------------------------------------------------------------------------
 # Score the full held-out query set: MAP for retrieval quality, overall
 # accuracy for the classifier head.
-u = affine_hash(test_set.features, params)
-query_codes = np.atleast_2d(pack_codes(binarize(u)))
-predicted = predict_labels(class_scores(u, params))
 report = evaluate(table, query_codes, test_set.labels,
                   query_predicted=predicted)
 print(f"\nMAP over {report.num_queries} queries: {report.map:.4f}")

@@ -74,6 +74,7 @@ from .train import (
     EpochStats,
     TrainConfig,
     build_pair_labels,
+    encode,
     encode_database,
     init_params,
     load_checkpoint,

@@ -24,20 +24,41 @@ from .data import (
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .index import CodeTable, load_code_table, rank_all, save_code_table
 from .metrics import evaluate, write_curve_csvs, write_report_json
-from .model import affine_hash, binarize, class_scores, pack_codes, predict_labels
 from .objective import GRADCHECK_TOLERANCE, Hyperparams, gradient_check_suite
 from .train import (
     Checkpoint,
     TrainConfig,
+    encode,
     encode_database,
     load_checkpoint,
     save_checkpoint,
     train,
 )
 
-_FLAGS = ("config", "features", "labels", "checkpoint", "codes", "bits", "eta",
-          "beta", "lr", "epochs", "batch", "seed", "topk", "radius",
-          "database", "out")
+# Every option: flag name -> (metavar, or the tuple of allowed values;
+# default, or None). The parser, the defaults, the flag merge and the check on
+# config-file keys all derive from this table.
+_OPTIONS = {
+    "config": ("PATH", None),
+    "features": ("PATH", None),
+    "labels": ("PATH", None),
+    "checkpoint": ("PATH", None),
+    "codes": ("PATH", None),
+    "bits": ("K", "16"),
+    "eta": ("F", "0.2"),
+    "beta": ("F", "25"),
+    "lr": ("F", "3e-4"),
+    "epochs": ("N", "100"),
+    "batch": ("N", "32"),
+    "seed": ("N", "0"),
+    "topk": ("N", "10"),
+    "radius": ("N", None),
+    "database": (("train", "all"), "train"),
+    "out": ("DIR", None),
+}
+_CONFIG_KEYS = frozenset(_OPTIONS) - {"config"}
+_DEFAULTS = {key: default for key, (_, default) in _OPTIONS.items()
+             if default is not None}
 
 _REQUIRED = {
     "train": ("features", "labels", "out"),
@@ -46,18 +67,6 @@ _REQUIRED = {
     "eval": ("checkpoint", "codes", "features", "labels", "out"),
     "gradcheck": (),
     "sweep": ("features", "labels", "out"),
-}
-
-_DEFAULTS = {
-    "bits": "16",
-    "eta": "0.2",
-    "beta": "25",
-    "lr": "3e-4",
-    "epochs": "100",
-    "batch": "32",
-    "seed": "0",
-    "topk": "10",
-    "database": "train",
 }
 
 _SWEEP_DEFAULTS = {"bits": "16,32,48,64", "epochs": "60"}
@@ -78,22 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "train/evaluate over a (bits, eta, beta) grid"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", metavar="PATH")
-        p.add_argument("--features", metavar="PATH")
-        p.add_argument("--labels", metavar="PATH")
-        p.add_argument("--checkpoint", metavar="PATH")
-        p.add_argument("--codes", metavar="PATH")
-        p.add_argument("--bits", metavar="K")
-        p.add_argument("--eta", metavar="F")
-        p.add_argument("--beta", metavar="F")
-        p.add_argument("--lr", metavar="F")
-        p.add_argument("--epochs", metavar="N")
-        p.add_argument("--batch", metavar="N")
-        p.add_argument("--seed", metavar="N")
-        p.add_argument("--topk", metavar="N")
-        p.add_argument("--radius", metavar="N")
-        p.add_argument("--database", choices=("train", "all"))
-        p.add_argument("--out", metavar="DIR")
+        for name, (shape, _) in _OPTIONS.items():
+            kind = "choices" if isinstance(shape, tuple) else "metavar"
+            p.add_argument(f"--{name}", **{kind: shape})
     return parser
 
 
@@ -102,8 +98,8 @@ def _merge_options(args: argparse.Namespace) -> dict[str, str]:
     if args.command == "sweep":
         merged.update(_SWEEP_DEFAULTS)
     if args.config is not None:
-        merged.update(parse_run_config(args.config))
-    for flag in _FLAGS:
+        merged.update(parse_run_config(args.config, _CONFIG_KEYS))
+    for flag in _OPTIONS:
         value = getattr(args, flag, None)
         if value is not None:
             merged[flag] = value
@@ -113,7 +109,7 @@ def _merge_options(args: argparse.Namespace) -> dict[str, str]:
             f"missing required option(s) for {args.command}: "
             + ", ".join(f"--{k}" for k in missing)
         )
-    if merged.get("database") not in (None, "train", "all"):
+    if merged.get("database") not in (None, *_OPTIONS["database"][0]):
         raise ConfigError(
             f"--database must be 'train' or 'all', got {merged['database']!r}"
         )
@@ -198,13 +194,6 @@ def cmd_encode(opts: dict[str, str]) -> int:
     return 0
 
 
-def _encode_queries(cp: Checkpoint, features: np.ndarray):
-    u = affine_hash(features, cp.params)
-    codes = np.atleast_2d(pack_codes(binarize(u)))
-    predicted = np.atleast_1d(predict_labels(class_scores(u, cp.params)))
-    return codes, predicted
-
-
 def cmd_query(opts: dict[str, str]) -> int:
     cp = load_checkpoint(opts["checkpoint"])
     table = load_code_table(opts["codes"])
@@ -229,7 +218,7 @@ def cmd_query(opts: dict[str, str]) -> int:
             raise ConfigError(
                 f"--radius must lie in [0, {table.code_bits}], got {radius}"
             )
-    codes, _ = _encode_queries(cp, queries)
+    codes, _ = encode(cp.params, queries)
     writer = csv.writer(sys.stdout)
     for q in range(codes.shape[0]):
         ranking = rank_all(codes[q], table).head(topk)
@@ -257,7 +246,7 @@ def cmd_eval(opts: dict[str, str]) -> int:
             f"query feature dimension {queries.feature_dim} does not match "
             f"checkpoint ({cp.params.feature_dim})"
         )
-    query_codes, query_predicted = _encode_queries(cp, queries.features)
+    query_codes, query_predicted = encode(cp.params, queries.features)
     exclude_ids = None
     if opts["database"] == "all":
         # queries join the database; leave-one-out excludes each from its own list
@@ -303,9 +292,7 @@ def _run_sweep_point(train_set: Dataset, test_set: Dataset,
                      hyper: Hyperparams) -> tuple[float, float]:
     params, _ = train(train_set, TrainConfig(hyper))
     table = encode_database(params, train_set)
-    query_codes, query_predicted = _encode_queries(
-        Checkpoint(params, hyper, hyper.epochs), test_set.features
-    )
+    query_codes, query_predicted = encode(params, test_set.features)
     report = evaluate(table, query_codes, test_set.labels,
                       query_predicted=query_predicted)
     return report.map, report.oa

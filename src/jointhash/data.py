@@ -20,11 +20,6 @@ FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHIIH")
 
-CONFIG_KEYS = frozenset({
-    "features", "labels", "checkpoint", "codes", "bits", "eta", "beta", "lr",
-    "epochs", "batch", "seed", "topk", "radius", "database", "out",
-})
-
 
 @dataclass
 class Dataset:
@@ -227,8 +222,8 @@ def train_test_split(dataset: Dataset, test_fraction: float,
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
-def parse_run_config(path) -> dict[str, str]:
-    """key=value lines; unknown keys are rejected by name."""
+def parse_run_config(path, keys) -> dict[str, str]:
+    """key=value lines; keys outside the given set are rejected by name."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -242,7 +237,7 @@ def parse_run_config(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values

@@ -2,13 +2,16 @@
 
 Distances are computed by XOR + popcount over 64-bit words. Pad bits beyond
 the code length are zero by construction (enforced when the table is built),
-so the inner loop needs no masking.
+so the inner loop needs no masking. This module is the only place distances
+are computed and a table is ordered: rank_all is the one ranking that search
+and evaluation build on.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,20 +68,33 @@ class CodeTable:
 
 @dataclass
 class Ranking:
-    """rank_all output: parallel arrays sorted by ascending distance."""
+    """Table rows ordered by ascending distance to a query; ties keep table order.
 
-    ids: np.ndarray
-    distances: np.ndarray
-    labels: np.ndarray
-    predicted: np.ndarray
+    Holds the sort order and the sorted distances. ids, labels and predicted
+    are gathered from the table on first read, so head(k) gathers k rows.
+    """
+
+    table: CodeTable
     order: np.ndarray
+    distances: np.ndarray
 
     def __len__(self) -> int:
-        return self.ids.shape[0]
+        return self.order.shape[0]
 
     def head(self, k: int) -> "Ranking":
-        return Ranking(self.ids[:k], self.distances[:k], self.labels[:k],
-                       self.predicted[:k], self.order[:k])
+        return Ranking(self.table, self.order[:k], self.distances[:k])
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return self.table.ids[self.order]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self.table.labels[self.order]
+
+    @cached_property
+    def predicted(self) -> np.ndarray:
+        return self.table.predicted[self.order]
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
@@ -90,27 +106,27 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
-def _distances(query: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _distances(query: np.ndarray, table: CodeTable) -> np.ndarray:
+    # The narrowest unsigned dtype that holds code_bits (uint8 up to 255 bits)
+    # turns numpy's stable sort into a radix sort with the same tie order. It
+    # cannot overflow because pad bits are zero in the table and the query.
     q = np.asarray(query, dtype=np.uint64)
-    if q.shape != (codes.shape[1],):
+    if q.shape != (table.codes.shape[1],):
         raise DimensionError(
             f"query has {q.shape[-1] if q.ndim else 0} words, table rows have "
-            f"{codes.shape[1]}"
+            f"{table.codes.shape[1]}"
         )
-    return np.bitwise_count(codes ^ q).sum(axis=1, dtype=np.int64)
+    if not _pad_is_zero(q[None, :], table.code_bits):
+        raise ValueError("query pad bits beyond the code length must be zero")
+    return np.bitwise_count(table.codes ^ q).sum(
+        axis=1, dtype=np.min_scalar_type(table.code_bits))
 
 
 def rank_all(query: np.ndarray, table: CodeTable) -> Ranking:
     """Every table item ordered by ascending distance; ties keep table order."""
-    d = _distances(query, table.codes)
+    d = _distances(query, table)
     order = np.argsort(d, kind="stable")
-    return Ranking(
-        ids=table.ids[order],
-        distances=d[order],
-        labels=table.labels[order],
-        predicted=table.predicted[order],
-        order=order,
-    )
+    return Ranking(table, order, d[order].astype(np.int64))
 
 
 def radius_search(query: np.ndarray, table: CodeTable, radius: int) -> set[int]:
@@ -119,8 +135,7 @@ def radius_search(query: np.ndarray, table: CodeTable, radius: int) -> set[int]:
         raise ValueError(
             f"radius must lie in [0, {table.code_bits}], got {radius}"
         )
-    d = _distances(query, table.codes)
-    return set(table.ids[d <= radius].tolist())
+    return set(table.ids[_distances(query, table) <= radius].tolist())
 
 
 def top_k(query: np.ndarray, table: CodeTable, k: int) -> Ranking:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError
-from .index import CodeTable, _distances
+from .index import CodeTable, rank_all
 
 
 @dataclass
@@ -86,12 +86,10 @@ class PRCurve:
     vacuous: np.ndarray  # True where the radius set was empty
 
 
-def _pr_from_distances(distances: np.ndarray, relevant: np.ndarray,
-                       code_bits: int) -> PRCurve:
+def _pr_by_radius(distances: np.ndarray, relevant: np.ndarray,
+                  code_bits: int) -> PRCurve:
     counts = np.bincount(distances, minlength=code_bits + 1).cumsum()
     hits = np.bincount(distances[relevant], minlength=code_bits + 1).cumsum()
-    counts = counts[:code_bits + 1]
-    hits = hits[:code_bits + 1]
     total_relevant = int(relevant.sum())
     vacuous = counts == 0
     precision = np.where(vacuous, 1.0, hits / np.maximum(counts, 1))
@@ -102,18 +100,31 @@ def _pr_from_distances(distances: np.ndarray, relevant: np.ndarray,
     return PRCurve(precision=precision, recall=recall, vacuous=vacuous)
 
 
+def _ranked(query_code: np.ndarray, table: CodeTable,
+            exclude_id: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Ranked labels and distances of the table, without exclude_id's row."""
+    ranking = rank_all(query_code, table)
+    if exclude_id is None:
+        return ranking.labels, ranking.distances
+    keep = ranking.ids != exclude_id
+    named = keep.size - np.count_nonzero(keep)
+    if named != 1:
+        raise ValueError(f"exclude id {exclude_id} names {named} table rows, "
+                         "expected exactly 1")
+    return ranking.labels[keep], ranking.distances[keep]
+
+
 def precision_recall_curve(query_code: np.ndarray, table: CodeTable,
                            query_label: int,
                            exclude_id: int | None = None) -> PRCurve:
-    """Precision/recall per Hamming radius for one query against the table."""
+    """Precision/recall per Hamming radius for one query against the table.
+
+    exclude_id, when given, must name exactly one table row, which is left out.
+    """
     if len(table) == 0:
         raise ValueError("precision-recall curve needs a nonempty table")
-    d = _distances(query_code, table.codes)
-    keep = np.ones(len(table), dtype=bool)
-    if exclude_id is not None:
-        keep = table.ids != exclude_id
-    relevant = table.labels[keep] == query_label
-    return _pr_from_distances(d[keep], relevant, table.code_bits)
+    labels, distances = _ranked(query_code, table, exclude_id)
+    return _pr_by_radius(distances, labels == query_label, table.code_bits)
 
 
 def overall_accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
@@ -152,8 +163,9 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
              ks: np.ndarray | None = None) -> EvalReport:
     """Rank every query against the table and aggregate all four metrics.
 
-    exclude_ids, when given, drops one table id per query from its own
-    ranking (leave-one-out for queries that live in the database).
+    exclude_ids, when given, holds one table id per query, each naming exactly
+    one row, which is left out of that query's ranking (leave-one-out for
+    queries that live in the database).
     """
     query_codes = np.atleast_2d(np.asarray(query_codes, dtype=np.uint64))
     query_labels = np.asarray(query_labels)
@@ -162,6 +174,9 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
         raise ValueError("evaluation requires at least one query")
     if len(table) == 0:
         raise ValueError("evaluation requires a nonempty database table")
+    if exclude_ids is not None and np.shape(exclude_ids) != (nq,):
+        raise DimensionError(f"exclude_ids has shape {np.shape(exclude_ids)}, "
+                             f"expected one id per query ({nq})")
     depth = len(table) - (0 if exclude_ids is None else 1)
     if ks is None:
         ks = np.arange(1, depth + 1)
@@ -179,14 +194,9 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     zero_relevant = 0
 
     for q in range(nq):
-        d = _distances(query_codes[q], table.codes)
-        keep = np.ones(len(table), dtype=bool)
-        if exclude_ids is not None:
-            keep = table.ids != exclude_ids[q]
-        d_kept = d[keep]
-        labels_kept = table.labels[keep]
-        order = np.argsort(d_kept, kind="stable")
-        flags = labels_kept[order] == query_labels[q]
+        labels, distances = _ranked(
+            query_codes[q], table, None if exclude_ids is None else exclude_ids[q])
+        flags = labels == query_labels[q]
         rel = RelevanceList(flags, int(flags.sum()))
         if rel.total_relevant == 0:
             zero_relevant += 1
@@ -195,8 +205,7 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
         prec_sum += hits_prefix[ks - 1] / ks
         if rel.total_relevant > 0:
             rec_sum += hits_prefix[ks - 1] / rel.total_relevant
-        curve = _pr_from_distances(d_kept, labels_kept == query_labels[q],
-                                   table.code_bits)
+        curve = _pr_by_radius(distances, flags, table.code_bits)
         pr_prec_sum += curve.precision
         pr_rec_sum += curve.recall
         vacuous_counts += curve.vacuous

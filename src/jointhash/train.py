@@ -150,16 +150,23 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
     return params, trace
 
 
+def encode(params: ModelParams,
+           features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed hash codes (one row per feature row) and predicted labels."""
+    u = affine_hash(features, params)
+    codes = np.atleast_2d(pack_codes(binarize(u)))
+    predicted = np.atleast_1d(predict_labels(class_scores(u, params)))
+    return codes, predicted
+
+
 def encode_database(params: ModelParams, dataset) -> CodeTable:
     """Hash codes and predicted labels for every item, in dataset order."""
-    u = affine_hash(dataset.features, params)
-    signs = binarize(u)
-    predicted = predict_labels(class_scores(u, params))
+    codes, predicted = encode(params, dataset.features)
     return CodeTable(
-        codes=np.atleast_2d(pack_codes(signs)),
+        codes=codes,
         ids=np.arange(len(dataset.labels), dtype=np.int64),
-        labels=np.asarray(dataset.labels, dtype=np.int64),
-        predicted=np.asarray(predicted, dtype=np.int64),
+        labels=dataset.labels,
+        predicted=predicted,
         code_bits=params.code_bits,
     )
 

@@ -207,6 +207,8 @@ class TestTrainTestSplit:
 
 
 class TestRunConfig:
+    KEYS = frozenset({"features", "labels", "bits", "eta", "out"})
+
     def test_parse_known_keys(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -218,7 +220,7 @@ class TestRunConfig:
             "\n"
             "out=results\n"
         )
-        cfg = parse_run_config(path)
+        cfg = parse_run_config(path, self.KEYS)
         assert cfg == {"features": "data/train.feat",
                        "labels": "data/train.txt", "bits": "32",
                        "eta": "0.2", "out": "results"}
@@ -227,14 +229,14 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text("verbosity=3\n")
         with pytest.raises(ConfigError, match="verbosity"):
-            parse_run_config(path)
+            parse_run_config(path, self.KEYS)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just a sentence\n")
         with pytest.raises(ConfigError, match=":1"):
-            parse_run_config(path)
+            parse_run_config(path, self.KEYS)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            parse_run_config(tmp_path / "nope.cfg")
+            parse_run_config(tmp_path / "nope.cfg", self.KEYS)

@@ -95,7 +95,7 @@ class TestRankAll:
         rng = np.random.default_rng(3)
         for trial in range(20):
             n = int(rng.integers(1, 200))
-            k = int(rng.choice([8, 16, 33, 64]))
+            k = int(rng.choice([8, 16, 33, 64, 255, 256]))
             signs = random_signs(rng, n, k)
             qsigns = random_signs(rng, 1, k)[0]
             table = make_table(signs)
@@ -105,6 +105,14 @@ class TestRankAll:
             expected = sorted(range(n), key=lambda i: (dists[i], i))
             assert r.order.tolist() == expected
             assert r.distances.tolist() == [dists[i] for i in expected]
+            assert r.distances.dtype == np.int64
+
+    def test_query_pad_bits_rejected(self):
+        # at K=255 distances are uint8; a set pad bit would make 256 wrap to 0
+        table = make_table(-np.ones((2, 255), dtype=np.int8))
+        query = np.full(4, 2**64 - 1, dtype=np.uint64)
+        with pytest.raises(ValueError, match="pad bits"):
+            rank_all(query, table)
 
     def test_stable_tie_order(self):
         signs = np.array([[1, 1], [1, -1], [1, 1], [-1, 1]], dtype=np.int8)

@@ -239,6 +239,53 @@ class TestEvaluate:
         assert loo.map == 1.0
         assert full.map == pytest.approx((1 + 1) / 2)
 
+        # brute force at K=48: each query is a table row, left out of its own
+        # list; the rest are sorted by (unpacked distance, table row)
+        rng = np.random.default_rng(9)
+        signs = np.where(rng.random((40, 48)) > 0.5, 1, -1)
+        signs[20:] = signs[:20]  # duplicate codes force distance ties
+        labels = rng.integers(0, 3, 40)
+        table = build_table(signs, labels)
+        rows = np.array([3, 17, 25, 39])
+        report = evaluate(table, np.atleast_2d(pack_codes(signs[rows])),
+                          labels[rows], exclude_ids=rows)
+        aps, prec10 = [], []
+        for q in rows:
+            others = [i for i in range(40) if i != q]
+            dists = {i: int(np.sum(signs[q] != signs[i])) for i in others}
+            ranked = sorted(others, key=lambda i: (dists[i], i))
+            flags = [labels[i] == labels[q] for i in ranked]
+            aps.append(oracle_average_precision(flags))
+            prec10.append(sum(flags[:10]) / 10)
+        assert report.ks.tolist() == list(range(1, 40))
+        assert report.map == pytest.approx(np.mean(aps), abs=1e-12)
+        assert report.precision_at[9] == pytest.approx(np.mean(prec10),
+                                                       abs=1e-12)
+
+    def test_exclude_ids_one_per_query(self):
+        table = build_table(np.array([[1, 1], [1, -1], [-1, -1]]),
+                            np.array([0, 0, 1]))
+        queries = np.atleast_2d(pack_codes(np.array([[1, 1], [-1, 1]])))
+        with pytest.raises(DimensionError):
+            evaluate(table, queries, np.array([0, 1]),
+                     exclude_ids=np.array([0]))
+
+    def test_exclude_id_naming_no_row(self):
+        table = build_table(np.array([[1, 1], [1, -1], [-1, -1]]),
+                            np.array([0, 0, 1]))
+        with pytest.raises(ValueError, match="names 0 table rows"):
+            evaluate(table, pack_codes(np.array([1, 1])), np.array([0]),
+                     exclude_ids=np.array([7]))
+
+    def test_exclude_id_naming_two_rows(self):
+        table = CodeTable(np.atleast_2d(pack_codes(np.array([[1, 1], [1, -1],
+                                                             [-1, -1]]))),
+                          ids=np.array([4, 4, 5]), labels=np.array([0, 0, 1]),
+                          predicted=np.array([0, 0, 1]), code_bits=2)
+        with pytest.raises(ValueError, match="names 2 table rows"):
+            evaluate(table, pack_codes(np.array([1, 1])), np.array([0]),
+                     exclude_ids=np.array([4]))
+
     def test_zero_relevant_counted(self):
         signs = np.array([[1, 1], [1, -1]])
         table = build_table(signs, np.array([0, 0]))
