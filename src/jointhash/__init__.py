@@ -56,7 +56,6 @@ from .model import (
 from .objective import (
     GradientSet,
     Hyperparams,
-    PairLabelSet,
     finite_diff_check,
     grad_features,
     grad_params,
@@ -65,7 +64,6 @@ from .objective import (
     gradient_check_suite,
     label_loss,
     loss_parts,
-    pair_logit,
     similarity_loss,
     total_loss,
 )
@@ -73,7 +71,6 @@ from .train import (
     Checkpoint,
     EpochStats,
     TrainConfig,
-    build_pair_labels,
     encode,
     encode_database,
     init_params,

@@ -174,9 +174,12 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
         raise ValueError("evaluation requires at least one query")
     if len(table) == 0:
         raise ValueError("evaluation requires a nonempty database table")
-    if exclude_ids is not None and np.shape(exclude_ids) != (nq,):
-        raise DimensionError(f"exclude_ids has shape {np.shape(exclude_ids)}, "
-                             f"expected one id per query ({nq})")
+    for name, per_query in (("query_labels", query_labels),
+                            ("query_predicted", query_predicted),
+                            ("exclude_ids", exclude_ids)):
+        if per_query is not None and np.shape(per_query) != (nq,):
+            raise DimensionError(f"{name} has shape {np.shape(per_query)}, "
+                                 f"expected one entry per query ({nq})")
     depth = len(table) - (0 if exclude_ids is None else 1)
     if ks is None:
         ks = np.arange(1, depth + 1)

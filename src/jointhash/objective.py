@@ -56,40 +56,6 @@ class Hyperparams:
 
 
 @dataclass
-class PairLabelSet:
-    """Unordered sample pairs (i < j) with their same-class flags."""
-
-    first: np.ndarray
-    second: np.ndarray
-    similar: np.ndarray
-
-    def __post_init__(self):
-        self.first = np.asarray(self.first, dtype=np.int64)
-        self.second = np.asarray(self.second, dtype=np.int64)
-        self.similar = np.asarray(self.similar, dtype=np.float64)
-        if not (self.first.shape == self.second.shape == self.similar.shape):
-            raise DimensionError("pair index and flag arrays must align")
-        if np.any(self.first >= self.second):
-            raise ValueError("pairs must be stored with i < j (no self-pairs)")
-        if len(self) and not np.all(np.isin(self.similar, (0.0, 1.0))):
-            raise ValueError("similarity flags must be 0 or 1")
-        keys = set(zip(self.first.tolist(), self.second.tolist()))
-        if len(keys) != len(self):
-            raise ValueError("duplicate pairs are not allowed")
-
-    def __len__(self) -> int:
-        return self.first.shape[0]
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray) -> "PairLabelSet":
-        """All unordered pairs of a batch; similar iff labels match."""
-        y = np.asarray(labels)
-        m = y.shape[0]
-        i, j = np.triu_indices(m, k=1)
-        return cls(i, j, (y[i] == y[j]).astype(np.float64))
-
-
-@dataclass
 class GradientSet:
     """Gradients of the objective, shaped like ModelParams plus features."""
 
@@ -123,39 +89,33 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def pair_logit(u_i: np.ndarray, u_j: np.ndarray) -> float:
-    """Half the inner product of two hash-like features."""
-    a = np.asarray(u_i, dtype=np.float64)
-    b = np.asarray(u_j, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"pair members differ in shape: {a.shape} vs {b.shape}")
-    return 0.5 * float(a @ b)
-
-
-def similarity_loss(u: np.ndarray, codes: np.ndarray, pairs: PairLabelSet,
+def similarity_loss(u: np.ndarray, codes: np.ndarray, labels: np.ndarray,
                     beta: float) -> float:
-    """Pairwise negative log-likelihood plus the quantization penalty."""
+    """Pairwise negative log-likelihood over all pairs i < j, plus quantization."""
     u = np.asarray(u, dtype=np.float64)
     c = np.asarray(codes, dtype=np.float64)
+    y = np.asarray(labels)
     if u.shape != c.shape:
         raise DimensionError(f"codes shape {c.shape} does not match u {u.shape}")
-    pairwise = 0.0
-    if len(pairs):
-        psi = 0.5 * np.einsum("ik,ik->i", u[pairs.first], u[pairs.second])
-        # softplus(psi) - s*psi == softplus((1-2s)*psi) for s in {0,1};
-        # the folded form avoids cancellation for confident similar pairs
-        pairwise = float(np.sum(softplus((1.0 - 2.0 * pairs.similar) * psi)))
+    if y.shape != (u.shape[0],):
+        raise DimensionError(f"labels have shape {y.shape}, expected one per row "
+                             f"of u ({u.shape[0]})")
+    i, j = np.triu_indices(u.shape[0], k=1)
+    psi = 0.5 * np.einsum("ik,ik->i", u[i], u[j])
+    # softplus(psi) - s*psi is softplus(-psi) for similar pairs (s = 1) and
+    # softplus(psi) otherwise; the folded form avoids cancellation for
+    # confident similar pairs
+    pairwise = float(np.sum(softplus(np.where(y[i] == y[j], -psi, psi))))
     quantization = beta * float(np.sum((u - c) ** 2))
     return pairwise + quantization
 
 
 def label_loss(distributions: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy; labels may be class indices or one-hot rows."""
+    """Mean cross-entropy of integer class labels."""
     t = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
-    y = np.asarray(labels)
-    idx = np.argmax(y, axis=-1) if y.ndim == 2 else y.astype(np.int64)
-    if idx.shape[0] != t.shape[0]:
-        raise DimensionError("one label per distribution required")
+    idx = np.asarray(labels, dtype=np.int64)
+    if idx.shape != (t.shape[0],):
+        raise DimensionError("one class index per distribution required")
     picked = t[np.arange(t.shape[0]), idx]
     return float(-np.mean(np.log(np.maximum(picked, LOG_FLOOR))))
 
@@ -180,7 +140,7 @@ def loss_parts(features: np.ndarray, labels: np.ndarray, params: ModelParams,
         raise ValueError("batch must be nonempty")
     u = affine_hash(f, params)
     b = binarize(u) if codes is None else codes
-    sim = similarity_loss(u, b, PairLabelSet.from_labels(y), hyper.beta)
+    sim = similarity_loss(u, b, y, hyper.beta)
     lab = label_loss(class_scores(u, params), y)
     total = hyper.eta * sim + (1.0 - hyper.eta) * lab
     return LossParts(total=total, similarity=sim, label=lab)
@@ -196,6 +156,9 @@ def _du(features, labels, params, hyper, codes):
     f = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64)
     m = f.shape[0]
+    if y.shape != (m,):
+        raise DimensionError(f"labels have shape {y.shape}, expected one per "
+                             f"feature row ({m})")
     u = affine_hash(f, params)
     b = binarize(u) if codes is None else np.asarray(codes, dtype=np.float64)
     t = class_scores(u, params)
@@ -302,11 +265,9 @@ def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams
         fn_features, f0.ravel(), grads.features, h
     )
 
-    pairs = PairLabelSet.from_labels(y)
-
     def fn_u(flat):
         u = flat.reshape(u0.shape)
-        sim = similarity_loss(u, codes, pairs, hyper.beta)
+        sim = similarity_loss(u, codes, y, hyper.beta)
         lab = label_loss(class_scores(u, params), y)
         return hyper.eta * sim + (1.0 - hyper.eta) * lab
 

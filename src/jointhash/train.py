@@ -28,7 +28,6 @@ from .objective import (
     GradientSet,
     Hyperparams,
     LossParts,
-    PairLabelSet,
     grad_params,
     loss_parts,
 )
@@ -82,11 +81,6 @@ class Checkpoint:
     params: ModelParams
     hyper: Hyperparams
     epoch: int
-
-
-def build_pair_labels(labels: np.ndarray) -> PairLabelSet:
-    """All unordered within-batch pairs, flagged by label equality."""
-    return PairLabelSet.from_labels(labels)
 
 
 def init_params(feature_dim: int, code_bits: int, num_classes: int,

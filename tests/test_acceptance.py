@@ -19,27 +19,21 @@ from jointhash.index import CodeTable, hamming_distance, rank_all
 from jointhash.metrics import (
     RelevanceList,
     average_precision,
+    evaluate,
     mean_average_precision,
     precision_at_k,
     precision_recall_curve,
     recall_at_k,
 )
-from jointhash.model import (
-    affine_hash,
-    binarize,
-    class_scores,
-    pack_codes,
-    predict_labels,
-)
+from jointhash.model import affine_hash, binarize, class_scores, pack_codes
 from jointhash.objective import (
     Hyperparams,
-    PairLabelSet,
     gradient_check_suite,
     label_loss,
     similarity_loss,
     total_loss,
 )
-from jointhash.train import TrainConfig, encode_database, train
+from jointhash.train import TrainConfig, encode, encode_database, train
 
 BENCH = dict(classes=10, per_class=100, dim=64, separation=3.0)
 BENCH_HYPER = dict(eta=0.2, beta=25.0, lr=3e-4, code_bits=16, batch_size=32,
@@ -58,11 +52,7 @@ def run_benchmark(seed, **hyper_overrides):
     hyper = Hyperparams(seed=seed, **{**BENCH_HYPER, **hyper_overrides})
     params, _ = train(train_set, TrainConfig(hyper))
     table = encode_database(params, train_set)
-    u = affine_hash(test_set.features, params)
-    query_codes = np.atleast_2d(pack_codes(binarize(u)))
-    predicted = predict_labels(class_scores(u, params))
-    from jointhash.metrics import evaluate
-
+    query_codes, predicted = encode(params, test_set.features)
     rep = evaluate(table, query_codes, test_set.labels,
                    query_predicted=predicted)
     return rep.map, rep.oa
@@ -96,8 +86,7 @@ def test_criterion_2_loss_endpoints():
         features = rng.normal(size=(batch, d))
         labels = rng.integers(0, c, batch)
         u = affine_hash(features, params)
-        l_sim = similarity_loss(u, binarize(u), PairLabelSet.from_labels(labels),
-                                25.0)
+        l_sim = similarity_loss(u, binarize(u), labels, 25.0)
         l_lab = label_loss(class_scores(u, params), labels)
         if total_loss(features, labels, params,
                       Hyperparams(eta=0.0, beta=25.0)) != l_lab:

@@ -286,6 +286,26 @@ class TestEvaluate:
             evaluate(table, pack_codes(np.array([1, 1])), np.array([0]),
                      exclude_ids=np.array([4]))
 
+    @pytest.mark.parametrize("query_labels, query_predicted", [
+        (np.array([0]), None),
+        (np.array([0, 1, 0, 1, 0]), None),
+        (np.array([0, 1, 0]), np.array([0, 1])),
+    ], ids=["too_few_labels", "too_many_labels", "short_predicted"])
+    def test_per_query_lengths_checked_before_ranking(self, query_labels,
+                                                      query_predicted,
+                                                      monkeypatch):
+        table = build_table(np.array([[1, 1], [1, -1], [-1, -1]]),
+                            np.array([0, 0, 1]))
+        queries = np.atleast_2d(pack_codes(np.array([[1, 1], [-1, 1], [1, -1]])))
+
+        def no_ranking(*args, **kwargs):
+            raise AssertionError("ranked before validating its inputs")
+
+        monkeypatch.setattr("jointhash.metrics.rank_all", no_ranking)
+        with pytest.raises(DimensionError):
+            evaluate(table, queries, query_labels,
+                     query_predicted=query_predicted)
+
     def test_zero_relevant_counted(self):
         signs = np.array([[1, 1], [1, -1]])
         table = build_table(signs, np.array([0, 0]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from jointhash.errors import DimensionError
 from jointhash.model import ModelParams, affine_hash, binarize, class_scores
 from jointhash.objective import (
     Hyperparams,
-    PairLabelSet,
     finite_diff_check,
     grad_features,
     grad_params,
@@ -15,7 +16,6 @@ from jointhash.objective import (
     label_loss,
     loss_parts,
     one_hot,
-    pair_logit,
     similarity_loss,
     softplus,
     total_loss,
@@ -49,71 +49,24 @@ class TestHyperparams:
             Hyperparams(**bad)
 
 
-class TestPairLabelSet:
-    def test_from_labels(self):
-        pairs = PairLabelSet.from_labels(np.array([0, 0, 1]))
-        got = set(zip(pairs.first.tolist(), pairs.second.tolist(),
-                      pairs.similar.tolist()))
-        assert got == {(0, 1, 1.0), (0, 2, 0.0), (1, 2, 0.0)}
-
-    def test_single_sample_empty(self):
-        assert len(PairLabelSet.from_labels(np.array([3]))) == 0
-
-    @pytest.mark.parametrize("m", [2, 5, 9])
-    def test_pair_count(self, m):
-        pairs = PairLabelSet.from_labels(np.zeros(m, dtype=int))
-        assert len(pairs) == m * (m - 1) // 2
-
-    def test_rejects_self_pairs(self):
-        with pytest.raises(ValueError):
-            PairLabelSet(np.array([1]), np.array([1]), np.array([1.0]))
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            PairLabelSet(np.array([0, 0]), np.array([1, 1]),
-                         np.array([1.0, 1.0]))
-
-
-class TestPairLogit:
-    def test_all_ones(self):
-        u = np.ones(16)
-        assert pair_logit(u, u) == 8.0
-
-    def test_orthogonal(self):
-        assert pair_logit(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
-
-    def test_matches_naive_dot(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a, b = rng.normal(size=(2, 6))
-            expected = 0.5 * sum(x * y for x, y in zip(a, b))
-            assert abs(pair_logit(a, b) - expected) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            pair_logit(np.zeros(3), np.zeros(4))
-
-
 class TestSimilarityLoss:
     def test_zero_logit_gives_log2(self):
         u = np.zeros((2, 4))
         codes = binarize(u)
-        for s in (0.0, 1.0):
-            pairs = PairLabelSet(np.array([0]), np.array([1]), np.array([s]))
-            loss = similarity_loss(u, codes, pairs, beta=0.0)
+        for labels in ([0, 0], [0, 1]):
+            loss = similarity_loss(u, codes, np.array(labels), beta=0.0)
             assert abs(loss - np.log(2.0)) < 1e-15
 
     def test_quantization_zero_at_corners(self):
         u = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        pairs = PairLabelSet.from_labels(np.array([0, 1]))
-        loss_b0 = similarity_loss(u, binarize(u), pairs, beta=0.0)
-        loss_b9 = similarity_loss(u, binarize(u), pairs, beta=9.0)
+        labels = np.array([0, 1])
+        loss_b0 = similarity_loss(u, binarize(u), labels, beta=0.0)
+        loss_b9 = similarity_loss(u, binarize(u), labels, beta=9.0)
         assert loss_b0 == loss_b9
 
     def test_quantization_positive_off_corners(self):
         u = np.array([[0.5, -1.0]])
-        loss = similarity_loss(u, binarize(u), PairLabelSet.from_labels([0]),
-                               beta=2.0)
+        loss = similarity_loss(u, binarize(u), np.array([0]), beta=2.0)
         assert abs(loss - 2.0 * 0.25) < 1e-15
 
     def test_large_logit_no_overflow(self):
@@ -124,17 +77,43 @@ class TestSimilarityLoss:
         u = np.zeros((2, 1))
         u[0, 0] = 10.0
         u[1, 0] = 10.0
-        pairs = PairLabelSet(np.array([0]), np.array([1]), np.array([1.0]))
-        got = similarity_loss(u, np.sign(u), pairs, beta=0.0)
+        got = similarity_loss(u, np.sign(u), np.array([4, 4]), beta=0.0)
         expected = float(mpmath.log(1 + mpmath.e**50) - 50)
         assert np.isfinite(got)
         assert abs(got - expected) <= 1e-12 * expected + 1e-30
 
     def test_empty_pairs_leave_quantization(self):
         u = np.array([[0.5, 0.5]])
-        pairs = PairLabelSet.from_labels(np.array([0]))
-        loss = similarity_loss(u, binarize(u), pairs, beta=1.0)
+        loss = similarity_loss(u, binarize(u), np.array([0]), beta=1.0)
         assert abs(loss - 0.5) < 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 32])
+    @pytest.mark.parametrize("label_kind", ["random", "all_equal", "all_distinct"])
+    def test_matches_double_loop_oracle(self, m, label_kind):
+        rng = np.random.default_rng(m)
+        u = rng.normal(0.0, 2.0, (m, 6))
+        codes = binarize(u)
+        labels = {"random": rng.integers(0, 3, m),
+                  "all_equal": np.full(m, 2),
+                  "all_distinct": rng.permutation(m)}[label_kind]
+        beta = 1.5
+        expected = 0.0
+        for i in range(m):
+            for j in range(i + 1, m):
+                psi = 0.5 * sum(float(a) * float(b) for a, b in zip(u[i], u[j]))
+                s = 1.0 if labels[i] == labels[j] else 0.0
+                expected += math.log1p(math.exp(psi)) - s * psi
+        for i in range(m):
+            expected += beta * sum((float(a) - float(b)) ** 2
+                                   for a, b in zip(u[i], codes[i]))
+        got = similarity_loss(u, codes, labels, beta)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]])
+    def test_label_count_mismatch(self, labels):
+        u = np.zeros((3, 4))
+        with pytest.raises(DimensionError):
+            similarity_loss(u, binarize(u), np.array(labels), beta=1.0)
 
     def test_softplus_stability(self):
         assert softplus(1000.0) == 1000.0
@@ -168,10 +147,10 @@ class TestLabelLoss:
             expected = -acc / m
             assert abs(label_loss(t, y) - expected) < 1e-12
 
-    def test_accepts_one_hot(self):
+    def test_one_hot_rows_rejected(self):
         t = np.array([[0.7, 0.3], [0.2, 0.8]])
-        y_idx = np.array([0, 1])
-        assert label_loss(t, one_hot(y_idx, 2)) == label_loss(t, y_idx)
+        with pytest.raises(DimensionError):
+            label_loss(t, one_hot(np.array([0, 1]), 2))
 
 
 class TestTotalLoss:
@@ -188,9 +167,7 @@ class TestTotalLoss:
             params, features, labels = random_setup(seed)
             hyper = Hyperparams(eta=1.0)
             u = affine_hash(features, params)
-            expected = similarity_loss(u, binarize(u),
-                                       PairLabelSet.from_labels(labels),
-                                       hyper.beta)
+            expected = similarity_loss(u, binarize(u), labels, hyper.beta)
             assert total_loss(features, labels, params, hyper) == expected
 
     def test_convex_combination(self):
@@ -275,6 +252,13 @@ class TestGradients:
         features = np.zeros((len(labels), params.feature_dim))
         g = grad_params(features, labels, params, Hyperparams(eta=0.5))
         assert np.all(g.hash_weights == 0.0)
+
+    @pytest.mark.parametrize("count", [1, 4, 6])
+    def test_label_count_mismatch(self, count):
+        # one label must not broadcast over a five-row batch
+        params, features, _ = random_setup(13)
+        with pytest.raises(DimensionError):
+            grad_params(features, np.zeros(count, dtype=int), params, Hyperparams())
 
     def test_zero_hash_weights_zero_feature_grad(self):
         params, features, labels = random_setup(12)

@@ -13,7 +13,6 @@ from jointhash.objective import GradientSet, Hyperparams, total_loss
 from jointhash.train import (
     Checkpoint,
     TrainConfig,
-    build_pair_labels,
     encode_database,
     init_params,
     load_checkpoint,
@@ -32,18 +31,6 @@ def quick_hyper(**kw):
                 epochs=5, seed=0)
     base.update(kw)
     return Hyperparams(**base)
-
-
-class TestBuildPairLabels:
-    def test_example(self):
-        pairs = build_pair_labels(np.array([0, 0, 1]))
-        got = set(zip(pairs.first.tolist(), pairs.second.tolist(),
-                      pairs.similar.tolist()))
-        assert got == {(0, 1, 1.0), (0, 2, 0.0), (1, 2, 0.0)}
-
-    def test_pair_count(self):
-        for m in (1, 2, 7, 12):
-            assert len(build_pair_labels(np.zeros(m, dtype=int))) == m * (m - 1) // 2
 
 
 class TestSgdStep:
