@@ -117,7 +117,10 @@ def write_label_file(path, labels: np.ndarray,
 
 def read_label_file(path) -> tuple[np.ndarray, int]:
     """Labels plus the class count (declared, or max label + 1)."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at offset {exc.start}") from None
     declared = None
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -184,5 +184,8 @@ def load_code_table(path) -> CodeTable:
         u32.append(np.frombuffer(raw, dtype="<u4", count=n,
                                  offset=offset).astype(np.int64))
         offset += 4 * n
-    return CodeTable(codes=codes, ids=u32[0], labels=u32[1], predicted=u32[2],
-                     code_bits=bits)
+    try:
+        return CodeTable(codes=codes, ids=u32[0], labels=u32[1],
+                         predicted=u32[2], code_bits=bits)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

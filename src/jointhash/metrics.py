@@ -9,9 +9,9 @@ averaged away.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +47,13 @@ class RelevanceList:
 
 def average_precision(rel: RelevanceList) -> float:
     """Mean of precision-at-hit over all relevant ranks; 0.0 if no hits."""
-    hits = np.flatnonzero(rel.flags)
-    if hits.size == 0:
+    return _average_precision(np.flatnonzero(rel.flags))
+
+
+def _average_precision(hit_ranks: np.ndarray) -> float:
+    if hit_ranks.size == 0:
         return 0.0
-    precisions = np.arange(1, hits.size + 1) / (hits + 1)
+    precisions = np.arange(1, hit_ranks.size + 1) / (hit_ranks + 1)
     return float(precisions.mean())
 
 
@@ -86,32 +89,57 @@ class PRCurve:
     vacuous: np.ndarray  # True where the radius set was empty
 
 
-def _pr_by_radius(distances: np.ndarray, relevant: np.ndarray,
+def _pr_by_radius(distances: np.ndarray, hit_ranks: np.ndarray,
                   code_bits: int) -> PRCurve:
-    counts = np.bincount(distances, minlength=code_bits + 1).cumsum()
-    hits = np.bincount(distances[relevant], minlength=code_bits + 1).cumsum()
-    total_relevant = int(relevant.sum())
+    # the radius-t set is a prefix of the ranking: its size is the number of
+    # sorted distances <= t, its hits the number of hit ranks below that size
+    counts = np.searchsorted(distances, np.arange(code_bits + 1), side="right")
+    hits = np.searchsorted(hit_ranks, counts)
     vacuous = counts == 0
     precision = np.where(vacuous, 1.0, hits / np.maximum(counts, 1))
-    if total_relevant > 0:
-        recall = hits / total_relevant
+    if hit_ranks.size > 0:
+        recall = hits / hit_ranks.size
     else:
         recall = np.zeros(code_bits + 1)
     return PRCurve(precision=precision, recall=recall, vacuous=vacuous)
 
 
-def _ranked(query_code: np.ndarray, table: CodeTable,
-            exclude_id: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Ranked labels and distances of the table, without exclude_id's row."""
-    ranking = rank_all(query_code, table)
-    if exclude_id is None:
-        return ranking.labels, ranking.distances
-    keep = ranking.ids != exclude_id
-    named = keep.size - np.count_nonzero(keep)
-    if named != 1:
-        raise ValueError(f"exclude id {exclude_id} names {named} table rows, "
+def _table_rows(table: CodeTable, ids: np.ndarray) -> np.ndarray:
+    """The table row of each id; each id must name exactly one row."""
+    sorter = np.argsort(table.ids, kind="stable")
+    sorted_ids = table.ids[sorter]
+    first = np.searchsorted(sorted_ids, ids, side="left")
+    named = np.searchsorted(sorted_ids, ids, side="right") - first
+    bad = np.flatnonzero(named != 1)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"exclude id {ids[i]} names {named[i]} table rows, "
                          "expected exactly 1")
-    return ranking.labels[keep], ranking.distances[keep]
+    return sorter[first]
+
+
+def _hits_prefix(hit_ranks: np.ndarray, depth: int) -> np.ndarray:
+    """Hits within the first 1..depth ranks, as exact float64 counts."""
+    run_lengths = np.diff(hit_ranks, prepend=0, append=depth)
+    return np.repeat(np.arange(hit_ranks.size + 1, dtype=np.float64),
+                     run_lengths)
+
+
+def _query_pass(query_code: np.ndarray, table: CodeTable, query_label,
+                exclude_row: int | None) -> tuple[np.ndarray, PRCurve]:
+    """Rank the table for one query, without exclude_row.
+
+    Returns the ranks of the relevant items and the precision/recall curve
+    by radius.
+    """
+    ranking = rank_all(query_code, table)
+    order, distances = ranking.order, ranking.distances
+    if exclude_row is not None:
+        at = np.flatnonzero(order == exclude_row)[0]
+        order = np.delete(order, at)
+        distances = np.delete(distances, at)
+    hit_ranks = np.flatnonzero((table.labels == query_label)[order])
+    return hit_ranks, _pr_by_radius(distances, hit_ranks, table.code_bits)
 
 
 def precision_recall_curve(query_code: np.ndarray, table: CodeTable,
@@ -123,8 +151,10 @@ def precision_recall_curve(query_code: np.ndarray, table: CodeTable,
     """
     if len(table) == 0:
         raise ValueError("precision-recall curve needs a nonempty table")
-    labels, distances = _ranked(query_code, table, exclude_id)
-    return _pr_by_radius(distances, labels == query_label, table.code_bits)
+    exclude_row = None
+    if exclude_id is not None:
+        exclude_row = _table_rows(table, np.array([exclude_id]))[0]
+    return _query_pass(query_code, table, query_label, exclude_row)[1]
 
 
 def overall_accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
@@ -180,13 +210,21 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
         if per_query is not None and np.shape(per_query) != (nq,):
             raise DimensionError(f"{name} has shape {np.shape(per_query)}, "
                                  f"expected one entry per query ({nq})")
+    exclude_rows = None
+    if exclude_ids is not None:
+        exclude_rows = _table_rows(table, np.asarray(exclude_ids))
     depth = len(table) - (0 if exclude_ids is None else 1)
+    gather_ks = ks is not None
     if ks is None:
         ks = np.arange(1, depth + 1)
     else:
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size == 0 or ks.min() < 1 or ks.max() > depth:
             raise ValueError(f"ks must lie in [1, {depth}]")
+    # float64 operands divide exactly as the integer counts would, and the
+    # quotients go through one reused buffer
+    k_float = ks.astype(np.float64)
+    quotient = np.empty(ks.size)
 
     aps = np.empty(nq)
     prec_sum = np.zeros(ks.size)
@@ -197,18 +235,19 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     zero_relevant = 0
 
     for q in range(nq):
-        labels, distances = _ranked(
-            query_codes[q], table, None if exclude_ids is None else exclude_ids[q])
-        flags = labels == query_labels[q]
-        rel = RelevanceList(flags, int(flags.sum()))
-        if rel.total_relevant == 0:
+        hit_ranks, curve = _query_pass(
+            query_codes[q], table, query_labels[q],
+            None if exclude_rows is None else exclude_rows[q])
+        total_relevant = hit_ranks.size
+        if total_relevant == 0:
             zero_relevant += 1
-        aps[q] = average_precision(rel)
-        hits_prefix = np.cumsum(flags)
-        prec_sum += hits_prefix[ks - 1] / ks
-        if rel.total_relevant > 0:
-            rec_sum += hits_prefix[ks - 1] / rel.total_relevant
-        curve = _pr_by_radius(distances, flags, table.code_bits)
+        aps[q] = _average_precision(hit_ranks)
+        hits_at = _hits_prefix(hit_ranks, depth)
+        if gather_ks:
+            hits_at = hits_at[ks - 1]
+        prec_sum += np.divide(hits_at, k_float, out=quotient)
+        if total_relevant > 0:
+            rec_sum += np.divide(hits_at, total_relevant, out=quotient)
         pr_prec_sum += curve.precision
         pr_rec_sum += curve.recall
         vacuous_counts += curve.vacuous
@@ -230,36 +269,63 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     )
 
 
+# Rows are formatted and written this many at a time, so a writer never holds
+# the whole file as one string.
+_CHUNK_ROWS = 8192
+
+
+def _write_rows(fh, row_format: str, separator: str, columns) -> None:
+    """Write row_format for each row of the columns, joined by separator."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
+        if start:
+            fh.write(separator)
+        fh.write(separator.join(starmap(row_format.format, rows)))
+
+
 def write_report_json(report: EvalReport, path) -> None:
-    doc = {
+    """report.json as json.dumps(indent=2) lays it out.
+
+    The per-k objects are written here row by row, with repr floats and json's
+    one entry per key; json.dumps writes the rest.
+    """
+    head = json.dumps({
         "map": report.map,
         "oa": report.oa,
         "num_queries": report.num_queries,
         "zero_relevant_queries": report.zero_relevant_queries,
-        "precision_at": {int(k): p for k, p in
-                         zip(report.ks, report.precision_at)},
-        "recall_at": {int(k): r for k, r in zip(report.ks, report.recall_at)},
-        "pr_points": [
-            {"radius": t, "precision": p, "recall": r, "vacuous_queries": int(v)}
-            for t, (p, r, v) in enumerate(
-                zip(report.pr_precision, report.pr_recall,
-                    report.vacuous_radius_counts))
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    }, indent=2)
+    tail = json.dumps({"pr_points": [
+        {"radius": t, "precision": p, "recall": r, "vacuous_queries": v}
+        for t, (p, r, v) in enumerate(zip(report.pr_precision.tolist(),
+                                          report.pr_recall.tolist(),
+                                          report.vacuous_radius_counts.tolist()))
+    ]}, indent=2)
+    # a repeated k keeps one key at its first position (its values are equal)
+    keep = np.sort(np.unique(report.ks, return_index=True)[1])
+    with open(path, "w") as fh:
+        fh.write(head[:-2] + ",\n")  # drop the closing "\n}"
+        for name, values in (("precision_at", report.precision_at),
+                             ("recall_at", report.recall_at)):
+            if keep.size == 0:
+                fh.write(f'  "{name}": {{}},\n')
+                continue
+            fh.write(f'  "{name}": {{\n')
+            _write_rows(fh, '    "{}": {!r}', ",\n",
+                        (report.ks[keep], values[keep]))
+            fh.write("\n  },\n")
+        fh.write(tail[2:] + "\n")  # drop the opening "{\n"
 
 
 def write_curve_csvs(report: EvalReport, out_dir) -> None:
+    """curve_topk.csv and curve_radius.csv: 10 decimals, CRLF line ends."""
     out_dir = Path(out_dir)
     with open(out_dir / "curve_topk.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "precision", "recall"])
-        for k, p, r in zip(report.ks, report.precision_at, report.recall_at):
-            writer.writerow([int(k), f"{p:.10f}", f"{r:.10f}"])
+        fh.write("k,precision,recall\r\n")
+        _write_rows(fh, "{},{:.10f},{:.10f}\r\n", "",
+                    (report.ks, report.precision_at, report.recall_at))
     with open(out_dir / "curve_radius.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "precision", "recall", "vacuous_queries"])
-        for t, (p, r, v) in enumerate(zip(report.pr_precision,
-                                          report.pr_recall,
-                                          report.vacuous_radius_counts)):
-            writer.writerow([t, f"{p:.10f}", f"{r:.10f}", int(v)])
+        fh.write("radius,precision,recall,vacuous_queries\r\n")
+        _write_rows(fh, "{},{:.10f},{:.10f},{}\r\n", "",
+                    (np.arange(report.pr_precision.size), report.pr_precision,
+                     report.pr_recall, report.vacuous_radius_counts))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, TrainingDivergedError
+from .errors import DataError, FormatError, NumericError, TrainingDivergedError
 from .index import CodeTable
 from .model import (
     ModelParams,
@@ -202,12 +202,15 @@ def load_checkpoint(path) -> Checkpoint:
     eta, beta, lr, batch, epochs, seed = _HYPER.unpack_from(raw, offset)
     offset += _HYPER.size
     (epoch,) = _EPOCH.unpack_from(raw, offset)
-    params = ModelParams(
-        hash_weights=arrays[0].reshape(k, d).copy(),
-        hash_bias=arrays[1].copy(),
-        cls_weights=arrays[2].reshape(c, k).copy(),
-        cls_bias=arrays[3].copy(),
-    )
-    hyper = Hyperparams(eta=eta, beta=beta, lr=lr, code_bits=k,
-                        batch_size=batch, epochs=epochs, seed=seed)
+    try:
+        params = ModelParams(
+            hash_weights=arrays[0].reshape(k, d).copy(),
+            hash_bias=arrays[1].copy(),
+            cls_weights=arrays[2].reshape(c, k).copy(),
+            cls_bias=arrays[3].copy(),
+        )
+        hyper = Hyperparams(eta=eta, beta=beta, lr=lr, code_bits=k,
+                            batch_size=batch, epochs=epochs, seed=seed)
+    except (ValueError, NumericError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return Checkpoint(params=params, hyper=hyper, epoch=epoch)

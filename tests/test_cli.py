@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -178,6 +179,50 @@ class TestEval:
         doc = json.loads((tmp_path / "report.json").read_text())
         # database extension: 96 train + 24 queries, minus the query itself
         assert doc["precision_at"].get("119") is not None
+
+
+class TestCorruptInputs:
+    """A corrupt input file is a data error naming the file: exit 3."""
+
+    def run_eval(self, corpus, trained, tmp_path, **files):
+        paths = {"checkpoint": trained / "checkpoint.bin",
+                 "codes": trained / "db.htbl",
+                 "features": corpus / "query" / "features.feat",
+                 "labels": corpus / "query" / "labels.txt", **files}
+        argv = [arg for key, path in paths.items() for arg in (f"--{key}", path)]
+        return run("eval", *argv, "--out", tmp_path / "out")
+
+    def assert_data_error(self, code, capsys, path):
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: data:") and str(path) in err
+
+    def test_code_table_pad_bits_set(self, corpus, trained, tmp_path, capsys):
+        raw = bytearray((trained / "db.htbl").read_bytes())
+        raw[14 + 1] |= 0x80  # after the 14-byte header: bit 15 of an 8-bit code
+        bad = tmp_path / "pad.htbl"
+        bad.write_bytes(bytes(raw))
+        code = self.run_eval(corpus, trained, tmp_path, codes=bad)
+        self.assert_data_error(code, capsys, bad)
+
+    def test_checkpoint_eta_out_of_range(self, corpus, trained, tmp_path,
+                                         capsys):
+        raw = bytearray((trained / "checkpoint.bin").read_bytes())
+        # eta is the first f64 of the 40-byte hyperparameter block, which the
+        # u32 epoch follows
+        struct.pack_into("<d", raw, len(raw) - 44, 2.0)
+        bad = tmp_path / "eta.bin"
+        bad.write_bytes(bytes(raw))
+        code = self.run_eval(corpus, trained, tmp_path, checkpoint=bad)
+        self.assert_data_error(code, capsys, bad)
+
+    def test_label_file_not_utf8(self, corpus, trained, tmp_path, capsys):
+        lines = (corpus / "query" / "labels.txt").read_bytes().splitlines()
+        lines[2] = b"\xff"
+        bad = tmp_path / "labels.txt"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        code = self.run_eval(corpus, trained, tmp_path, labels=bad)
+        self.assert_data_error(code, capsys, bad)
 
 
 class TestGradcheck:

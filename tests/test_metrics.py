@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,46 @@ def oracle_average_precision(flags):
         if flags[j - 1]:
             total += sum(flags[:j]) / j
     return total / n
+
+
+def oracle_evaluate(signs, labels, ids, query_signs, query_labels,
+                    exclude_ids=None, ks=None):
+    """Oracle: every evaluate field by plain loops over queries and items.
+
+    Items are ranked by (unpacked Hamming distance, table row), leaving out
+    the row whose id is the query's exclude id.
+    """
+    n, code_bits = signs.shape
+    nq = len(query_labels)
+    depth = n - (0 if exclude_ids is None else 1)
+    ks = list(range(1, depth + 1)) if ks is None else list(ks)
+    out = {"ks": ks, "map": 0.0, "precision_at": [0.0] * len(ks),
+           "recall_at": [0.0] * len(ks), "pr_precision": [0.0] * (code_bits + 1),
+           "pr_recall": [0.0] * (code_bits + 1), "vacuous": [0] * (code_bits + 1),
+           "zero_relevant": 0}
+    for q in range(nq):
+        items = [i for i in range(n)
+                 if exclude_ids is None or ids[i] != exclude_ids[q]]
+        dist = {i: int(np.sum(signs[i] != query_signs[q])) for i in items}
+        ranked = sorted(items, key=lambda i: (dist[i], i))
+        flags = [bool(labels[i] == query_labels[q]) for i in ranked]
+        total = sum(flags)
+        out["zero_relevant"] += total == 0
+        out["map"] += oracle_average_precision(flags) / nq
+        for j, k in enumerate(ks):
+            out["precision_at"][j] += sum(flags[:k]) / k / nq
+            if total:
+                out["recall_at"][j] += sum(flags[:k]) / total / nq
+        for t in range(code_bits + 1):
+            within = [f for i, f in zip(ranked, flags) if dist[i] <= t]
+            if within:
+                out["pr_precision"][t] += sum(within) / len(within) / nq
+            else:
+                out["pr_precision"][t] += 1.0 / nq
+                out["vacuous"][t] += 1
+            if total:
+                out["pr_recall"][t] += sum(within) / total / nq
+    return out
 
 
 def rel(flags, r=None):
@@ -239,28 +282,54 @@ class TestEvaluate:
         assert loo.map == 1.0
         assert full.map == pytest.approx((1 + 1) / 2)
 
-        # brute force at K=48: each query is a table row, left out of its own
-        # list; the rest are sorted by (unpacked distance, table row)
-        rng = np.random.default_rng(9)
-        signs = np.where(rng.random((40, 48)) > 0.5, 1, -1)
-        signs[20:] = signs[:20]  # duplicate codes force distance ties
+
+    @pytest.mark.parametrize("code_bits", [5, 48, 70])
+    @pytest.mark.parametrize("mode", ["plain", "leave_one_out", "explicit_ks"])
+    def test_matches_double_loop_oracle(self, code_bits, mode):
+        rng = np.random.default_rng(code_bits)
+        signs = np.where(rng.random((40, code_bits)) > 0.5, 1, -1)
+        signs[20:30] = signs[:10]  # duplicate codes force distance ties
         labels = rng.integers(0, 3, 40)
-        table = build_table(signs, labels)
+        ids = rng.permutation(100)[:40]
+        table = CodeTable(np.atleast_2d(pack_codes(signs)), ids, labels,
+                          labels, code_bits)
         rows = np.array([3, 17, 25, 39])
+        query_labels = labels[rows].copy()
+        query_labels[1] = 7  # no relevant item
+        exclude = None if mode == "plain" else ids[rows]
+        ks = [39, 1, 10, 10, 2] if mode == "explicit_ks" else None
         report = evaluate(table, np.atleast_2d(pack_codes(signs[rows])),
-                          labels[rows], exclude_ids=rows)
-        aps, prec10 = [], []
-        for q in rows:
-            others = [i for i in range(40) if i != q]
-            dists = {i: int(np.sum(signs[q] != signs[i])) for i in others}
-            ranked = sorted(others, key=lambda i: (dists[i], i))
-            flags = [labels[i] == labels[q] for i in ranked]
-            aps.append(oracle_average_precision(flags))
-            prec10.append(sum(flags[:10]) / 10)
-        assert report.ks.tolist() == list(range(1, 40))
-        assert report.map == pytest.approx(np.mean(aps), abs=1e-12)
-        assert report.precision_at[9] == pytest.approx(np.mean(prec10),
-                                                       abs=1e-12)
+                          query_labels, exclude_ids=exclude, ks=ks)
+        want = oracle_evaluate(signs, labels, ids, signs[rows], query_labels,
+                               exclude, ks)
+        assert report.ks.tolist() == want["ks"]
+        for name in ("precision_at", "recall_at", "pr_precision",
+                     "pr_recall"):
+            np.testing.assert_allclose(getattr(report, name), want[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
+        assert report.map == pytest.approx(want["map"], abs=1e-12)
+        assert report.vacuous_radius_counts.tolist() == want["vacuous"]
+        assert report.zero_relevant_queries == want["zero_relevant"] == 1
+        assert report.num_queries == 4
+
+    def test_curve_is_evaluate_of_one_query(self):
+        rng = np.random.default_rng(11)
+        signs = np.where(rng.random((30, 12)) > 0.5, 1, -1)
+        signs[15:] = signs[:15]
+        labels = rng.integers(0, 3, 30)
+        table = build_table(signs, labels)
+        for row in (0, 7, 29):
+            code = pack_codes(signs[row])
+            for exclude in (None, row):
+                curve = precision_recall_curve(code, table, labels[row],
+                                               exclude_id=exclude)
+                report = evaluate(table, code, labels[row:row + 1],
+                                  exclude_ids=None if exclude is None
+                                  else np.array([exclude]))
+                assert np.array_equal(report.pr_precision, curve.precision)
+                assert np.array_equal(report.pr_recall, curve.recall)
+                assert np.array_equal(report.vacuous_radius_counts,
+                                      curve.vacuous.astype(np.int64))
 
     def test_exclude_ids_one_per_query(self):
         table = build_table(np.array([[1, 1], [1, -1], [-1, -1]]),
@@ -323,9 +392,6 @@ class TestEvaluate:
                           labels[:3], query_predicted=labels[:3])
         write_report_json(report, tmp_path / "report.json")
         write_curve_csvs(report, tmp_path)
-        import csv
-        import json
-
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["map"] == pytest.approx(report.map)
         assert doc["oa"] == 1.0
@@ -350,3 +416,90 @@ class TestEvaluate:
                     report.pr_precision, report.pr_recall):
             assert np.all(arr >= 0) and np.all(arr <= 1)
         assert 0 <= report.map <= 1
+
+
+def reference_write_report_json(report, path):
+    """Reference: the whole document through json.dumps(indent=2)."""
+    doc = {
+        "map": report.map,
+        "oa": report.oa,
+        "num_queries": report.num_queries,
+        "zero_relevant_queries": report.zero_relevant_queries,
+        "precision_at": {int(k): p for k, p in
+                         zip(report.ks, report.precision_at)},
+        "recall_at": {int(k): r for k, r in zip(report.ks, report.recall_at)},
+        "pr_points": [
+            {"radius": t, "precision": p, "recall": r, "vacuous_queries": int(v)}
+            for t, (p, r, v) in enumerate(
+                zip(report.pr_precision, report.pr_recall,
+                    report.vacuous_radius_counts))
+        ],
+    }
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def reference_write_curve_csvs(report, out_dir):
+    """Reference: one csv.writer row per k and per radius."""
+    with open(out_dir / "curve_topk.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "precision", "recall"])
+        for k, p, r in zip(report.ks, report.precision_at, report.recall_at):
+            writer.writerow([int(k), f"{p:.10f}", f"{r:.10f}"])
+    with open(out_dir / "curve_radius.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["radius", "precision", "recall", "vacuous_queries"])
+        for t, (p, r, v) in enumerate(zip(report.pr_precision,
+                                          report.pr_recall,
+                                          report.vacuous_radius_counts)):
+            writer.writerow([t, f"{p:.10f}", f"{r:.10f}", int(v)])
+
+
+class TestReportWriters:
+    """The writers produce the reference writers' bytes."""
+
+    @staticmethod
+    def report(code_bits, mode):
+        # 9000 rows: more than one write chunk of the per-k rows
+        rng = np.random.default_rng(code_bits)
+        n = 9000
+        signs = np.where(rng.random((n, code_bits)) > 0.5, 1, -1)
+        signs[n // 2:] = signs[:n // 2]
+        labels = rng.integers(0, 3, n)
+        table = build_table(signs, labels)
+        rows = np.array([5, 600, 8999])
+        query_labels = labels[rows].copy()
+        query_labels[0] = 9  # no relevant item
+        codes = np.atleast_2d(pack_codes(signs[rows]))
+        if mode == "no_oa":
+            return evaluate(table, codes, query_labels)
+        if mode == "leave_one_out":
+            return evaluate(table, codes, query_labels,
+                            query_predicted=labels[rows], exclude_ids=rows)
+        return evaluate(table, codes, query_labels,
+                        query_predicted=labels[rows],
+                        ks=[8998, 1, 77, 77, 10, 4500])
+
+    @pytest.mark.parametrize("code_bits", [1, 33, 64])
+    @pytest.mark.parametrize("mode", ["no_oa", "leave_one_out", "explicit_ks"])
+    def test_bytes_match_reference(self, code_bits, mode, tmp_path):
+        self.assert_same_bytes(self.report(code_bits, mode), tmp_path)
+
+    def test_empty_ranking_bytes_match_reference(self, tmp_path):
+        # a one-row table with that row left out ranks nothing
+        table = build_table(np.array([[1, -1]]), np.array([0]))
+        report = evaluate(table, pack_codes(np.array([1, -1])), np.array([0]),
+                          exclude_ids=np.array([0]))
+        assert report.ks.size == 0
+        self.assert_same_bytes(report, tmp_path)
+
+    @staticmethod
+    def assert_same_bytes(report, tmp_path):
+        (tmp_path / "got").mkdir()
+        (tmp_path / "want").mkdir()
+        write_report_json(report, tmp_path / "got" / "report.json")
+        write_curve_csvs(report, tmp_path / "got")
+        reference_write_report_json(report, tmp_path / "want" / "report.json")
+        reference_write_curve_csvs(report, tmp_path / "want")
+        for name in ("report.json", "curve_topk.csv", "curve_radius.csv"):
+            got = (tmp_path / "got" / name).read_bytes()
+            assert got == (tmp_path / "want" / name).read_bytes(), name
