@@ -51,7 +51,7 @@ print(f"code table: {len(table)} codes x {table.code_bits} bits "
 # first query: rank by Hamming distance, read off the neighbors with their
 # true and predicted labels.
 query_codes, predicted = encode(params, test_set.features)
-ranking = rank_all(query_codes[0], table).head(5)
+ranking = rank_all(query_codes[0], table, 5)
 print(f"\nquery with true label {test_set.labels[0]}, top 5 neighbors:")
 for rank in range(5):
     print(f"  #{rank + 1}: id={ranking.ids[rank]:4d} "

@@ -221,7 +221,7 @@ def cmd_query(opts: dict[str, str]) -> int:
     codes, _ = encode(cp.params, queries)
     writer = csv.writer(sys.stdout)
     for q in range(codes.shape[0]):
-        ranking = rank_all(codes[q], table).head(topk)
+        ranking = rank_all(codes[q], table, topk)
         for rank in range(len(ranking)):
             if radius is not None and ranking.distances[rank] > radius:
                 break

@@ -71,7 +71,7 @@ class Ranking:
     """Table rows ordered by ascending distance to a query; ties keep table order.
 
     Holds the sort order and the sorted distances. ids, labels and predicted
-    are gathered from the table on first read, so head(k) gathers k rows.
+    are gathered from the table on first read.
     """
 
     table: CodeTable
@@ -80,9 +80,6 @@ class Ranking:
 
     def __len__(self) -> int:
         return self.order.shape[0]
-
-    def head(self, k: int) -> "Ranking":
-        return Ranking(self.table, self.order[:k], self.distances[:k])
 
     @cached_property
     def ids(self) -> np.ndarray:
@@ -122,10 +119,30 @@ def _distances(query: np.ndarray, table: CodeTable) -> np.ndarray:
         axis=1, dtype=np.min_scalar_type(table.code_bits))
 
 
-def rank_all(query: np.ndarray, table: CodeTable) -> Ranking:
-    """Every table item ordered by ascending distance; ties keep table order."""
+def rank_all(query: np.ndarray, table: CodeTable,
+             depth: int | None = None) -> Ranking:
+    """Table items ordered by ascending distance; ties keep table order.
+
+    With a depth, only the first `depth` rows of that ranking are returned
+    (all rows when depth is None or at least len(table)). Only the rows
+    within the cut radius, the smallest r with at least `depth` rows at
+    distance <= r, are sorted, so the result is the full ranking's prefix.
+    """
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     d = _distances(query, table)
-    order = np.argsort(d, kind="stable")
+    if depth is None or depth >= len(d):
+        order = np.argsort(d, kind="stable")
+    else:
+        lo, hi = 0, table.code_bits
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if np.count_nonzero(d <= mid) >= depth:
+                hi = mid
+            else:
+                lo = mid + 1
+        rows = np.flatnonzero(d <= lo)
+        order = rows[np.argsort(d[rows], kind="stable")[:depth]]
     return Ranking(table, order, d[order].astype(np.int64))
 
 
@@ -142,7 +159,7 @@ def top_k(query: np.ndarray, table: CodeTable, k: int) -> Ranking:
     """First k entries of rank_all."""
     if not 1 <= k <= len(table):
         raise ValueError(f"k must lie in [1, {len(table)}], got {k}")
-    return rank_all(query, table).head(k)
+    return rank_all(query, table, k)
 
 
 def save_code_table(table: CodeTable, path) -> None:

@@ -16,6 +16,7 @@ treated as constants when differentiating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,10 @@ class Hyperparams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.code_bits < 1:
             raise ValueError(f"code_bits must be >= 1, got {self.code_bits}")
         if self.batch_size < 1:

@@ -122,12 +122,19 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
             idx = perm[start:start + hyper.batch_size]
             feats = dataset.features[idx]
             ys = labels[idx]
-            parts = loss_parts(feats, ys, params, hyper)
-            if not np.isfinite(parts.total) or abs(parts.total) > DIVERGENCE_LIMIT:
-                raise TrainingDivergedError(
-                    epoch + 1, start // hyper.batch_size, parts.total
-                )
-            grads = grad_params(feats, ys, params, hyper)
+            batch = start // hyper.batch_size
+            loss = float("nan")
+            try:
+                parts = loss_parts(feats, ys, params, hyper)
+                loss = parts.total
+                if not np.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT:
+                    raise TrainingDivergedError(epoch + 1, batch, loss)
+                grads = grad_params(feats, ys, params, hyper)
+            except TrainingDivergedError:
+                raise
+            except NumericError as exc:
+                # e.g. parameters that an earlier step overflowed to inf
+                raise TrainingDivergedError(epoch + 1, batch, loss) from exc
             sgd_step(params, grads, lr)
             batch_parts.append(parts)
         trace.append(EpochStats(

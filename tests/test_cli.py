@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import struct
 
@@ -6,9 +7,14 @@ import numpy as np
 import pytest
 
 from jointhash.cli import main
-from jointhash.data import save_dataset, synth_dataset, train_test_split
-from jointhash.index import load_code_table
-from jointhash.train import load_checkpoint
+from jointhash.data import (
+    read_feature_file,
+    save_dataset,
+    synth_dataset,
+    train_test_split,
+)
+from jointhash.index import load_code_table, rank_all
+from jointhash.train import encode, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +114,38 @@ class TestQuery:
         out = capsys.readouterr().out.strip()
         lines = out.splitlines() if out else []
         assert all(int(line.split(",")[2]) == 0 for line in lines)
+
+    @pytest.mark.parametrize("bits", [16, 70])
+    def test_rows_match_full_ranking(self, corpus, tmp_path, capsys, bits):
+        assert run("train", "--features", corpus / "train" / "features.feat",
+                   "--labels", corpus / "train" / "labels.txt", "--bits", bits,
+                   "--epochs", "5", "--seed", "2", "--out", tmp_path) == 0
+        assert run("encode", "--checkpoint", tmp_path / "checkpoint.bin",
+                   "--features", corpus / "train" / "features.feat",
+                   "--labels", corpus / "train" / "labels.txt",
+                   "--codes", tmp_path / "db.htbl") == 0
+        capsys.readouterr()
+        table = load_code_table(tmp_path / "db.htbl")
+        codes, _ = encode(load_checkpoint(tmp_path / "checkpoint.bin").params,
+                          read_feature_file(corpus / "query" / "features.feat"))
+        for topk, radius in ((7, None), (30, None), (96, None), (30, bits // 4)):
+            expected = io.StringIO()
+            writer = csv.writer(expected)
+            for q in range(len(codes)):
+                full = rank_all(codes[q], table)
+                for rank in range(topk):
+                    if radius is not None and full.distances[rank] > radius:
+                        break
+                    writer.writerow([rank + 1, full.ids[rank], full.distances[rank],
+                                     full.labels[rank], full.predicted[rank]])
+            argv = ["query", "--checkpoint", tmp_path / "checkpoint.bin",
+                    "--codes", tmp_path / "db.htbl",
+                    "--features", corpus / "query" / "features.feat",
+                    "--topk", topk]
+            if radius is not None:
+                argv += ["--radius", radius]
+            assert run(*argv) == 0
+            assert capsys.readouterr().out == expected.getvalue()
 
     def test_topk_out_of_range_is_config_error(self, corpus, trained):
         code = run("query", "--checkpoint", trained / "checkpoint.bin",
@@ -216,6 +254,15 @@ class TestCorruptInputs:
         code = self.run_eval(corpus, trained, tmp_path, checkpoint=bad)
         self.assert_data_error(code, capsys, bad)
 
+    def test_checkpoint_lr_not_finite(self, corpus, trained, tmp_path, capsys):
+        raw = bytearray((trained / "checkpoint.bin").read_bytes())
+        # lr is the third f64 of the hyperparameter block
+        struct.pack_into("<d", raw, len(raw) - 44 + 16, float("nan"))
+        bad = tmp_path / "lr.bin"
+        bad.write_bytes(bytes(raw))
+        code = self.run_eval(corpus, trained, tmp_path, checkpoint=bad)
+        self.assert_data_error(code, capsys, bad)
+
     def test_label_file_not_utf8(self, corpus, trained, tmp_path, capsys):
         lines = (corpus / "query" / "labels.txt").read_bytes().splitlines()
         lines[2] = b"\xff"
@@ -297,6 +344,15 @@ class TestConfigHandling:
                    "--labels", corpus / "train" / "labels.txt",
                    "--eta", "2.0", "--out", tmp_path) == 2
         assert "eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("lr", "nan"), ("lr", "inf"),
+                                             ("beta", "nan"), ("beta", "inf")])
+    def test_non_finite_hyperparameter_exit_2(self, corpus, tmp_path, capsys,
+                                              flag, value):
+        assert run("train", "--features", corpus / "train" / "features.feat",
+                   "--labels", corpus / "train" / "labels.txt",
+                   f"--{flag}", value, "--out", tmp_path) == 2
+        assert "error: config:" in capsys.readouterr().err
 
     def test_divergence_exit_4(self, corpus, tmp_path, capsys):
         assert run("train", "--features", corpus / "train" / "features.feat",

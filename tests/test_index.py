@@ -107,6 +107,42 @@ class TestRankAll:
             assert r.distances.tolist() == [dists[i] for i in expected]
             assert r.distances.dtype == np.int64
 
+    @pytest.mark.parametrize("k", [1, 8, 33, 64, 255, 256, 300])
+    def test_depth_is_prefix_of_brute_force(self, k):
+        # 1-4 distinct codes make ties that cross the cut radius
+        rng = np.random.default_rng(k)
+        for distinct in (1, 2, 3, 4):
+            n = int(rng.integers(5, 40))
+            signs = random_signs(rng, distinct, k)[rng.integers(0, distinct, n)]
+            table = CodeTable(np.atleast_2d(pack_codes(signs)),
+                              ids=rng.permutation(n) * 3 + 7,
+                              labels=rng.integers(0, 3, n),
+                              predicted=rng.integers(0, 3, n), code_bits=k)
+            for qsigns in (signs[rng.integers(n)], random_signs(rng, 1, k)[0]):
+                query = pack_codes(qsigns)
+                dists = [naive_distance(qsigns, row) for row in signs]
+                expected = sorted(range(n), key=lambda i: (dists[i], i))
+                sorted_d = [dists[i] for i in expected]
+                # depth d ends inside a tie group when rows d-1 and d tie
+                inside = [d for d in range(1, n) if sorted_d[d - 1] == sorted_d[d]]
+                assert inside
+                full = rank_all(query, table)
+                for depth in (1, int(rng.choice(inside)), n - 1, n):
+                    r = rank_all(query, table, depth)
+                    assert r.order.tolist() == expected[:depth]
+                    assert r.ids.tolist() == table.ids[expected[:depth]].tolist()
+                    assert r.distances.dtype == np.int64
+                    assert r.distances.tolist() == sorted_d[:depth]
+                    assert np.array_equal(r.order, full.order[:depth])
+                    assert np.array_equal(r.ids, full.ids[:depth])
+                    assert np.array_equal(r.distances, full.distances[:depth])
+
+    @pytest.mark.parametrize("depth", [0, -1, -50])
+    def test_depth_below_one_rejected(self, depth):
+        table = make_table(np.ones((3, 4), dtype=np.int8))
+        with pytest.raises(ValueError, match="depth"):
+            rank_all(pack_codes(np.ones(4, dtype=np.int8)), table, depth)
+
     def test_query_pad_bits_rejected(self):
         # at K=255 distances are uint8; a set pad bit would make 256 wrap to 0
         table = make_table(-np.ones((2, 255), dtype=np.int8))
@@ -165,16 +201,19 @@ class TestRadiusSearch:
 
 
 class TestTopK:
-    @pytest.mark.parametrize("k", [1, 25, 50])
+    @pytest.mark.parametrize("k", [1, 25, 49, 50])
     def test_prefix_of_rank_all(self, k):
         rng = np.random.default_rng(7)
-        signs = random_signs(rng, 50, 16)
-        table = make_table(signs)
-        query = pack_codes(random_signs(rng, 1, 16)[0])
-        full = rank_all(query, table)
-        head = top_k(query, table, k)
-        assert head.ids.tolist() == full.ids[:k].tolist()
-        assert head.distances.tolist() == full.distances[:k].tolist()
+        # random codes, then three distinct codes so that ties cross the cut
+        for signs in (random_signs(rng, 50, 16),
+                      random_signs(rng, 3, 16)[rng.integers(0, 3, 50)]):
+            table = make_table(signs)
+            query = pack_codes(random_signs(rng, 1, 16)[0])
+            full = rank_all(query, table)
+            head = top_k(query, table, k)
+            assert head.order.tolist() == full.order[:k].tolist()
+            assert head.ids.tolist() == full.ids[:k].tolist()
+            assert head.distances.tolist() == full.distances[:k].tolist()
 
     def test_k_bounds(self):
         table = make_table(np.ones((3, 4), dtype=np.int8))

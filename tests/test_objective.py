@@ -43,6 +43,8 @@ class TestHyperparams:
     @pytest.mark.parametrize("bad", [
         dict(eta=-0.1), dict(eta=1.5), dict(beta=-1.0), dict(lr=0.0),
         dict(code_bits=0), dict(batch_size=0), dict(epochs=-1),
+        dict(lr=float("nan")), dict(lr=float("inf")),
+        dict(beta=float("nan")), dict(beta=float("inf")),
     ])
     def test_invalid_values(self, bad):
         with pytest.raises(ValueError):

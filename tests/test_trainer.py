@@ -5,6 +5,7 @@ from jointhash.data import Dataset, synth_dataset
 from jointhash.errors import (
     DataError,
     FormatError,
+    NumericError,
     TrainingDivergedError,
 )
 from jointhash.index import load_code_table, save_code_table
@@ -124,6 +125,20 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as err:
             train(ds, big)
         assert err.value.epoch >= 1
+
+    def test_non_finite_batch_names_epoch_and_batch(self):
+        # the first step overflows the weights to inf; the next batch's
+        # forward pass then meets non-finite hash-like features
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(0, 1, (64, 8)), np.arange(64) % 2, num_classes=2)
+        config = TrainConfig(quick_hyper(lr=1e308, beta=25.0, code_bits=8,
+                                         batch_size=16))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                train(ds, config)
+        assert (err.value.epoch, err.value.batch) == (1, 1)
+        assert np.isnan(err.value.loss)
+        assert type(err.value.__cause__) is NumericError
 
     def test_checkpoint_interval_emits_files(self, tmp_path):
         ds = small_dataset()
