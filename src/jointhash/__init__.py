@@ -48,7 +48,6 @@ from .model import (
     class_scores,
     logistic,
     pack_codes,
-    predict_label,
     predict_labels,
     softmax,
     unpack_codes,

@@ -4,10 +4,16 @@ Feature files are binary: magic "FEAT", version u16, N u32, D u32, element
 width u16 (32 or 64), then N*D row-major little-endian IEEE-754 values.
 Label files are plain text with one class index per line; the first line may
 be "classes=C". 32-bit feature values are widened to float64 on load.
+
+Feature files are read BLOCK_ROWS rows at a time through one reused buffer,
+so loading holds the float64 result plus one block of stored values, never
+the whole file as bytes; `train.encode` hashes rows in blocks of the same
+size.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +25,8 @@ from .errors import ConfigError, DataError, FormatError
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHIIH")
+# rows per block when features are read from disk or hashed into codes
+BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -72,38 +80,51 @@ def write_feature_file(path, features: np.ndarray, width: int = 64) -> None:
 
 
 def read_feature_file(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < _FEATURE_HEADER.size:
-        raise FormatError(
-            f"{path}: truncated header ({len(raw)} bytes, "
-            f"need {_FEATURE_HEADER.size})"
-        )
-    magic, version, n, d, width = _FEATURE_HEADER.unpack_from(raw, 0)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported feature-file version {version}")
-    if width not in (32, 64):
-        raise FormatError(f"{path}: element width {width} at offset 14 "
-                          "must be 32 or 64")
-    itemsize = width // 8
-    expected = _FEATURE_HEADER.size + n * d * itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: file length {len(raw)} does not match header "
-            f"(expected {expected} bytes)"
-        )
-    dtype = "<f4" if width == 32 else "<f8"
-    values = np.frombuffer(raw, dtype=dtype, count=n * d,
-                           offset=_FEATURE_HEADER.size)
-    feats = values.astype(np.float64).reshape(n, d)
-    if not np.all(np.isfinite(feats)):
-        bad = int(np.flatnonzero(~np.isfinite(feats.ravel()))[0])
-        raise DataError(
-            f"{path}: non-finite value at element {bad} "
-            f"(offset {_FEATURE_HEADER.size + bad * itemsize})"
-        )
-    return feats
+    """(N, D) float64 features, read and checked BLOCK_ROWS rows at a time."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_FEATURE_HEADER.size)
+        if len(head) < _FEATURE_HEADER.size:
+            raise FormatError(
+                f"{path}: truncated header ({len(head)} bytes, "
+                f"need {_FEATURE_HEADER.size})"
+            )
+        magic, version, n, d, width = _FEATURE_HEADER.unpack(head)
+        if magic != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
+        if version != FEATURE_VERSION:
+            raise FormatError(f"{path}: unsupported feature-file version {version}")
+        if width not in (32, 64):
+            raise FormatError(f"{path}: element width {width} at offset 14 "
+                              "must be 32 or 64")
+        itemsize = width // 8
+        expected = _FEATURE_HEADER.size + n * d * itemsize
+        if size != expected:
+            raise FormatError(
+                f"{path}: file length {size} does not match header "
+                f"(expected {expected} bytes)"
+            )
+        count = n * d
+        step = BLOCK_ROWS * max(d, 1)
+        feats = np.empty(count)
+        buf = np.empty(min(count, step), dtype="<f4" if width == 32 else "<f8")
+        for start in range(0, count, step):
+            block = buf[:min(step, count - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise FormatError(
+                    f"{path}: file shrank while being read (short read at "
+                    f"offset {_FEATURE_HEADER.size + start * itemsize})"
+                )
+            out = feats[start:start + block.size]
+            out[...] = block
+            finite = np.isfinite(out)
+            if not finite.all():
+                bad = start + int(np.argmin(finite))
+                raise DataError(
+                    f"{path}: non-finite value at element {bad} "
+                    f"(offset {_FEATURE_HEADER.size + bad * itemsize})"
+                )
+    return feats.reshape(n, d)
 
 
 def write_label_file(path, labels: np.ndarray,

@@ -106,17 +106,15 @@ def binarize(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u)
     if not np.all(np.isfinite(u)):
         raise NumericError("cannot binarize non-finite hash-like features")
-    return np.where(u > 0, 1, -1).astype(np.int8)
+    return (u > 0).view(np.int8) * np.int8(2) - np.int8(1)
 
 
 def logistic(x):
     """Numerically stable 1 / (1 + exp(-x)), elementwise."""
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows; for x < 0 it is exp(x), bit for bit
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -139,13 +137,8 @@ def class_scores(u: np.ndarray, params: ModelParams) -> np.ndarray:
     return softmax(u @ params.cls_weights.T + params.cls_bias)
 
 
-def predict_label(t: np.ndarray) -> int:
-    """Index of the largest component; ties go to the lowest index."""
-    return int(np.argmax(np.asarray(t)))
-
-
 def predict_labels(t: np.ndarray) -> np.ndarray:
-    """Row-wise argmax for a batch of class distributions."""
+    """Row-wise argmax for a batch of class distributions; ties go low."""
     return np.argmax(np.asarray(t), axis=-1)
 
 

@@ -121,13 +121,6 @@ def label_loss(distributions: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, LOG_FLOOR))))
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((y.shape[0], num_classes))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
 def loss_parts(features: np.ndarray, labels: np.ndarray, params: ModelParams,
                hyper: Hyperparams, codes: np.ndarray | None = None) -> LossParts:
     """Joint loss and its components on one batch.
@@ -164,7 +157,8 @@ def _du(features, labels, params, hyper, codes):
     b = binarize(u) if codes is None else np.asarray(codes, dtype=np.float64)
     t = class_scores(u, params)
 
-    g = (1.0 - hyper.eta) * (t - one_hot(y, params.num_classes)) / m
+    t[np.arange(m), y] -= 1.0  # t - onehot(y), bit for bit
+    g = (1.0 - hyper.eta) * t / m
     du_label = g @ params.cls_weights
 
     # all unordered pairs: (a - s) is symmetric, diagonal excluded

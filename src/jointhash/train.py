@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import BLOCK_ROWS
 from .errors import DataError, FormatError, NumericError, TrainingDivergedError
 from .index import CodeTable
 from .model import (
@@ -22,6 +23,7 @@ from .model import (
     binarize,
     class_scores,
     pack_codes,
+    packed_words,
     predict_labels,
 )
 from .objective import (
@@ -130,12 +132,14 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
                 if not np.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT:
                     raise TrainingDivergedError(epoch + 1, batch, loss)
                 grads = grad_params(feats, ys, params, hyper)
+                # a step that overflows raises here, so the error names this
+                # batch rather than the next one that meets inf parameters
+                with np.errstate(over="raise"):
+                    sgd_step(params, grads, lr)
             except TrainingDivergedError:
                 raise
-            except NumericError as exc:
-                # e.g. parameters that an earlier step overflowed to inf
+            except (NumericError, FloatingPointError) as exc:
                 raise TrainingDivergedError(epoch + 1, batch, loss) from exc
-            sgd_step(params, grads, lr)
             batch_parts.append(parts)
         trace.append(EpochStats(
             epoch=epoch + 1,
@@ -153,10 +157,21 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
 
 def encode(params: ModelParams,
            features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed hash codes (one row per feature row) and predicted labels."""
-    u = affine_hash(features, params)
-    codes = np.atleast_2d(pack_codes(binarize(u)))
-    predicted = np.atleast_1d(predict_labels(class_scores(u, params)))
+    """Packed hash codes (one row per feature row) and predicted labels.
+
+    Rows are hashed BLOCK_ROWS at a time into preallocated outputs, so the
+    temporaries stay at one block's size. A 1-D feature vector is one row.
+    """
+    f = np.atleast_2d(features)
+    n = f.shape[0]
+    codes = np.empty((n, packed_words(params.code_bits)), dtype=np.uint64)
+    predicted = np.empty(n, dtype=np.int64)
+    # an empty input still runs one (empty) block, which checks its width
+    for start in range(0, max(n, 1), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        u = affine_hash(f[rows], params)
+        codes[rows] = pack_codes(binarize(u))
+        predicted[rows] = predict_labels(class_scores(u, params))
     return codes, predicted
 
 

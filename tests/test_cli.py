@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +17,20 @@ from jointhash.data import (
     save_dataset,
     synth_dataset,
     train_test_split,
+    write_feature_file,
+    write_label_file,
 )
 from jointhash.index import load_code_table, rank_all
-from jointhash.train import encode, load_checkpoint
+from jointhash.objective import Hyperparams
+from jointhash.train import (
+    Checkpoint,
+    encode,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +95,28 @@ class TestEncode:
         table = load_code_table(trained / "db.htbl")
         assert len(table) == 96  # 4 classes * 30 * 0.8
         assert table.code_bits == 8
+
+    def test_peak_memory_is_one_float64_copy(self, tmp_path):
+        # the loader and the encoder work in row blocks, so the traced peak
+        # stays near the float64 feature array the Dataset holds
+        n, d, k = 60_000, 64, 48
+        write_feature_file(tmp_path / "db.feat",
+                           np.random.default_rng(0).normal(size=(n, d)), width=32)
+        write_label_file(tmp_path / "db.labels", np.arange(n) % 10, 10)
+        save_checkpoint(Checkpoint(init_params(d, k, 10, seed=0),
+                                   Hyperparams(code_bits=k), 0),
+                        tmp_path / "cp.bin")
+        tracemalloc.start()
+        try:
+            code = run("encode", "--checkpoint", tmp_path / "cp.bin",
+                       "--features", tmp_path / "db.feat",
+                       "--labels", tmp_path / "db.labels",
+                       "--codes", tmp_path / "db.htbl")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.6 * n * d * 8
 
 
 class TestQuery:
@@ -360,3 +398,22 @@ class TestConfigHandling:
                    "--lr", "1000", "--epochs", "3",
                    "--out", tmp_path) == 4
         assert "error: numeric:" in capsys.readouterr().err
+
+    def test_overflowing_step_one_stderr_line(self, tmp_path):
+        # the step of batch 0 overflows; a fresh interpreter shows that no
+        # numpy warning reaches stderr beside the error line
+        synth_dataset(2, 32, 16, separation=3.0, seed=0, out_dir=tmp_path / "ds")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointhash", "train",
+             "--features", str(tmp_path / "ds" / "features.feat"),
+             "--labels", str(tmp_path / "ds" / "labels.txt"),
+             "--lr", "1e308", "--bits", "8", "--batch", "16",
+             "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4
+        [line] = proc.stderr.splitlines()
+        head, loss = line.split("J=")
+        assert head == "error: numeric: loss diverged at epoch 1, batch 0: "
+        assert np.isfinite(float(loss))

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from jointhash import data as data_module
 from jointhash.data import (
+    BLOCK_ROWS,
     Dataset,
     load_dataset,
     parse_run_config,
@@ -58,6 +62,65 @@ class TestFeatureFile:
         raw[16:24] = np.array([np.nan]).tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="offset 16"):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_roundtrip_across_blocks(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        feats = rng.normal(size=(2 * BLOCK_ROWS + 3, 5))
+        if width == 32:
+            feats = feats.astype(np.float32).astype(np.float64)
+        path = tmp_path / "f.feat"
+        write_feature_file(path, feats, width=width)
+        loaded = read_feature_file(path)
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded, feats)
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_non_finite_in_later_block_names_first(self, tmp_path, width):
+        d, itemsize = 5, width // 8
+        path = tmp_path / "late.feat"
+        write_feature_file(path, np.ones((2 * BLOCK_ROWS + 3, d)), width=width)
+        raw = bytearray(path.read_bytes())
+        first = (BLOCK_ROWS + 7) * d + 2  # second block
+        later = (2 * BLOCK_ROWS + 1) * d  # third block
+        dtype = "<f4" if width == 32 else "<f8"
+        for element, value in ((later, np.nan), (first, -np.inf)):
+            offset = 16 + element * itemsize
+            raw[offset:offset + itemsize] = np.array([value], dtype).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError) as err:
+            read_feature_file(path)
+        assert str(err.value) == (f"{path}: non-finite value at element "
+                                  f"{first} (offset {16 + first * itemsize})")
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_trailing_bytes_are_length_mismatch(self, tmp_path, width):
+        path = tmp_path / "long.feat"
+        write_feature_file(path, np.ones((BLOCK_ROWS + 1, 3)), width=width)
+        expected = 16 + (BLOCK_ROWS + 1) * 3 * width // 8
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError) as err:
+            read_feature_file(path)
+        assert str(err.value) == (f"{path}: file length {expected + 1} does "
+                                  f"not match header (expected {expected} bytes)")
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_zero_rows(self, tmp_path, width):
+        path = tmp_path / "empty.feat"
+        write_feature_file(path, np.zeros((0, 4)), width=width)
+        loaded = read_feature_file(path)
+        assert loaded.shape == (0, 4) and loaded.dtype == np.float64
+
+    def test_file_shrinking_while_read(self, tmp_path, monkeypatch):
+        # the size check passes, then the values run out mid-block
+        path = tmp_path / "shrunk.feat"
+        write_feature_file(path, np.ones((BLOCK_ROWS + 2, 3)), width=32)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-12])
+        monkeypatch.setattr(data_module.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=full))
+        with pytest.raises(FormatError, match="shrank"):
             read_feature_file(path)
 
     def test_bad_width_rejected(self, tmp_path):

@@ -11,7 +11,6 @@ from jointhash.model import (
     class_scores,
     logistic,
     pack_codes,
-    predict_label,
     predict_labels,
     unpack_codes,
 )
@@ -75,12 +74,24 @@ class TestBinarize:
         with pytest.raises(NumericError):
             binarize(np.array([0.1, np.nan]))
 
+    # subnormal values are left out: c * 5e-324 can round to 0, whose sign
+    # is -1, so the invariance holds only where c * u cannot underflow
     @given(st.floats(min_value=1e-6, max_value=1e6),
-           st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
-                    max_size=32))
+           st.lists(st.floats(min_value=-100, max_value=100,
+                              allow_subnormal=False), min_size=1, max_size=32))
     def test_positive_scaling_invariance(self, c, values):
         u = np.array(values)
         assert np.array_equal(binarize(c * u), binarize(u))
+
+    def test_matches_where_formula(self):
+        # the earlier int64 np.where form, kept as the reference
+        rng = np.random.default_rng(0)
+        u = np.concatenate([rng.normal(size=(4096, 48)).ravel(),
+                            [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]])
+        got = binarize(u)
+        want = np.where(u > 0, 1, -1).astype(np.int8)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
 
 
 class TestLogistic:
@@ -104,6 +115,29 @@ class TestLogistic:
         assert logistic(700.0) == 1.0
         out = logistic(np.array([-700.0, 700.0]))
         assert np.all(np.isfinite(out))
+
+
+    def test_bitwise_equal_to_masked_formula(self):
+        # the earlier boolean-mask form, kept as the reference
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        rng = np.random.default_rng(0)
+        special = [0.0, 700.0, 745.0, 1e-300, np.inf]
+        x = np.concatenate([rng.normal(size=10**6), special,
+                            [-v for v in special]])
+        got = logistic(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), masked(x).view(np.uint64))
+
+    def test_scalar_in_float_out(self):
+        assert type(logistic(1.5)) is float
+        assert type(logistic(np.float64(-2.0))) is float
 
 
 class TestClassScores:
@@ -153,10 +187,10 @@ class TestClassScores:
 
 class TestPredictLabel:
     def test_argmax(self):
-        assert predict_label(np.array([0.1, 0.7, 0.2])) == 1
+        assert predict_labels(np.array([0.1, 0.7, 0.2])) == 1
 
     def test_tie_breaks_low(self):
-        assert predict_label(np.array([0.5, 0.5])) == 0
+        assert predict_labels(np.array([[0.5, 0.5], [0.2, 0.2]])).tolist() == [0, 0]
 
     def test_matches_score_argmax(self):
         rng = np.random.default_rng(3)
@@ -164,7 +198,7 @@ class TestPredictLabel:
         for _ in range(100):
             u = rng.normal(size=4) * 3
             scores = u @ params.cls_weights.T + params.cls_bias
-            assert predict_label(class_scores(u, params)) == int(np.argmax(scores))
+            assert predict_labels(class_scores(u, params)) == int(np.argmax(scores))
 
     def test_batch_variant(self):
         t = np.array([[0.2, 0.8], [0.9, 0.1]])
@@ -175,8 +209,8 @@ class TestPredictLabel:
         u = np.array([1.0, -2.0, 0.5])
         shifted = ModelParams(params.hash_weights, params.hash_bias,
                               params.cls_weights, params.cls_bias - 42.0)
-        assert (predict_label(class_scores(u, params))
-                == predict_label(class_scores(u, shifted)))
+        assert (predict_labels(class_scores(u, params))
+                == predict_labels(class_scores(u, shifted)))
 
 
 class TestPacking:

@@ -1,19 +1,29 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from jointhash.data import Dataset, synth_dataset
+from jointhash.data import BLOCK_ROWS, Dataset, synth_dataset
 from jointhash.errors import (
     DataError,
+    DimensionError,
     FormatError,
-    NumericError,
     TrainingDivergedError,
 )
 from jointhash.index import load_code_table, save_code_table
-from jointhash.model import ModelParams, affine_hash, binarize, unpack_codes
+from jointhash.model import (
+    ModelParams,
+    affine_hash,
+    binarize,
+    class_scores,
+    pack_codes,
+    unpack_codes,
+)
 from jointhash.objective import GradientSet, Hyperparams, total_loss
 from jointhash.train import (
     Checkpoint,
     TrainConfig,
+    encode,
     encode_database,
     init_params,
     load_checkpoint,
@@ -127,18 +137,19 @@ class TestTrain:
         assert err.value.epoch >= 1
 
     def test_non_finite_batch_names_epoch_and_batch(self):
-        # the first step overflows the weights to inf; the next batch's
-        # forward pass then meets non-finite hash-like features
+        # the first batch's step overflows the weights; the error names that
+        # batch and its finite loss, and no numpy warning escapes
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(0, 1, (64, 8)), np.arange(64) % 2, num_classes=2)
         config = TrainConfig(quick_hyper(lr=1e308, beta=25.0, code_bits=8,
                                          batch_size=16))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError) as err:
                 train(ds, config)
-        assert (err.value.epoch, err.value.batch) == (1, 1)
-        assert np.isnan(err.value.loss)
-        assert type(err.value.__cause__) is NumericError
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert np.isfinite(err.value.loss)
+        assert type(err.value.__cause__) is FloatingPointError
 
     def test_checkpoint_interval_emits_files(self, tmp_path):
         ds = small_dataset()
@@ -183,6 +194,41 @@ class TestEncodeDatabase:
         loaded = load_code_table(tmp_path / "db.htbl")
         assert np.array_equal(loaded.codes, table.codes)
         assert np.array_equal(loaded.predicted, table.predicted)
+
+
+class TestEncodeBlocks:
+    @pytest.mark.parametrize("k", [1, 48, 64, 65])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    def test_matches_whole_array_reference(self, n, k):
+        rng = np.random.default_rng([n, k])
+        params = ModelParams(rng.normal(size=(k, 6)), rng.normal(size=k),
+                             rng.normal(size=(5, k)), rng.normal(size=5))
+        f = rng.normal(size=(n, 6))
+        u = f @ params.hash_weights.T + params.hash_bias
+        codes, predicted = encode(params, f)
+        want = pack_codes(binarize(u))
+        assert codes.dtype == np.uint64 and codes.shape == want.shape
+        assert np.array_equal(codes, want)
+        assert predicted.dtype == np.int64
+        assert np.array_equal(predicted,
+                              np.argmax(class_scores(u, params), axis=1))
+
+    def test_vector_is_one_row(self):
+        rng = np.random.default_rng(3)
+        params = ModelParams(rng.normal(size=(70, 6)), rng.normal(size=70),
+                             rng.normal(size=(4, 70)), rng.normal(size=4))
+        f = rng.normal(size=6)
+        codes, predicted = encode(params, f)
+        want_codes, want_predicted = encode(params, f[None, :])
+        assert codes.shape == (1, 2) and predicted.shape == (1,)
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(predicted, want_predicted)
+
+    def test_width_checked_when_empty(self):
+        params = init_params(4, 8, 3, seed=0)
+        with pytest.raises(DimensionError):
+            encode(params, np.zeros((0, 5)))
 
 
 class TestCheckpointIO:
