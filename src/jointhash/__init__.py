@@ -46,19 +46,14 @@ from .model import (
     affine_hash,
     binarize,
     class_scores,
-    logistic,
     pack_codes,
     predict_labels,
-    softmax,
     unpack_codes,
 )
 from .objective import (
     GradientSet,
     Hyperparams,
-    finite_diff_check,
-    grad_features,
     grad_params,
-    grad_u,
     gradient_check,
     gradient_check_suite,
     label_loss,

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
+from .index import U32_MAX
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
@@ -47,7 +48,9 @@ class Dataset:
                 f"{self.labels.shape[0]} labels for {self.features.shape[0]} "
                 "feature rows"
             )
-        if not np.all(np.isfinite(self.features)):
+        # exact with no (N, D) mask: NaN propagates, an infinity is an extreme
+        if not (np.isfinite(self.features.min(initial=0.0))
+                and np.isfinite(self.features.max(initial=0.0))):
             raise DataError("features contain non-finite values")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.num_classes):
@@ -154,8 +157,9 @@ def read_label_file(path) -> tuple[np.ndarray, int]:
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: malformed classes header "
                                   f"{line!r}") from None
-            if declared < 1:
-                raise DataError(f"{path}:{lineno}: class count must be >= 1")
+            if not 1 <= declared <= U32_MAX:
+                raise DataError(f"{path}:{lineno}: class count must lie in "
+                                f"[1, {U32_MAX}], got {declared}")
             continue
         try:
             value = int(line)
@@ -163,8 +167,9 @@ def read_label_file(path) -> tuple[np.ndarray, int]:
             raise FormatError(
                 f"{path}:{lineno}: expected an integer label, got {line!r}"
             ) from None
-        if value < 0:
-            raise DataError(f"{path}:{lineno}: labels must be >= 0")
+        if not 0 <= value <= U32_MAX:
+            raise DataError(f"{path}:{lineno}: label {value} must lie in "
+                            f"[0, {U32_MAX}]")
         if declared is not None and value >= declared:
             raise DataError(
                 f"{path}:{lineno}: label {value} out of range for "
@@ -188,13 +193,12 @@ def load_dataset(feature_path, label_path) -> Dataset:
     return Dataset(features, labels, num_classes)
 
 
-def save_dataset(dataset: Dataset, out_dir,
-                 width: int = 64) -> tuple[Path, Path]:
+def save_dataset(dataset: Dataset, out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     feature_path = out_dir / "features.feat"
     label_path = out_dir / "labels.txt"
-    write_feature_file(feature_path, dataset.features, width=width)
+    write_feature_file(feature_path, dataset.features)
     write_label_file(label_path, dataset.labels, dataset.num_classes)
     return feature_path, label_path
 
@@ -250,9 +254,11 @@ def parse_run_config(path, keys) -> dict[str, str]:
     """key=value lines; keys outside the given set are rejected by name."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at offset {exc.start}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -23,7 +23,8 @@ TABLE_MAGIC = b"HTBL"
 TABLE_VERSION = 1
 _TABLE_HEADER = struct.Struct("<4sHII")
 
-_U32_MAX = 2**32 - 1
+# HTBL stores ids and labels, DHCN the class count, as u32
+U32_MAX = 2**32 - 1
 
 
 def _pad_is_zero(codes: np.ndarray, bits: int) -> bool:
@@ -70,7 +71,8 @@ class CodeTable:
 class Ranking:
     """Table rows ordered by ascending distance to a query; ties keep table order.
 
-    Holds the sort order and the sorted distances. ids, labels and predicted
+    Holds the sort order and the sorted distances, whose dtype is the
+    narrowest unsigned one that holds code_bits. ids, labels and predicted
     are gathered from the table on first read.
     """
 
@@ -143,7 +145,7 @@ def rank_all(query: np.ndarray, table: CodeTable,
                 lo = mid + 1
         rows = np.flatnonzero(d <= lo)
         order = rows[np.argsort(d[rows], kind="stable")[:depth]]
-    return Ranking(table, order, d[order].astype(np.int64))
+    return Ranking(table, order, d[order])
 
 
 def radius_search(query: np.ndarray, table: CodeTable, radius: int) -> set[int]:
@@ -165,7 +167,7 @@ def top_k(query: np.ndarray, table: CodeTable, k: int) -> Ranking:
 def save_code_table(table: CodeTable, path) -> None:
     for name, arr in (("ids", table.ids), ("labels", table.labels),
                       ("predicted", table.predicted)):
-        if arr.size and (arr.min() < 0 or arr.max() > _U32_MAX):
+        if arr.size and (arr.min() < 0 or arr.max() > U32_MAX):
             raise ValueError(f"{name} must fit in unsigned 32-bit integers")
     blob = bytearray()
     blob += _TABLE_HEADER.pack(TABLE_MAGIC, TABLE_VERSION, len(table),

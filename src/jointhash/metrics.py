@@ -93,7 +93,9 @@ def _pr_by_radius(distances: np.ndarray, hit_ranks: np.ndarray,
                   code_bits: int) -> PRCurve:
     # the radius-t set is a prefix of the ranking: its size is the number of
     # sorted distances <= t, its hits the number of hit ranks below that size
-    counts = np.searchsorted(distances, np.arange(code_bits + 1), side="right")
+    # radii in the distances' own dtype, so searchsorted does not widen them
+    radii = np.arange(code_bits + 1, dtype=distances.dtype)
+    counts = np.searchsorted(distances, radii, side="right")
     hits = np.searchsorted(hit_ranks, counts)
     vacuous = counts == 0
     precision = np.where(vacuous, 1.0, hits / np.maximum(counts, 1))
@@ -143,18 +145,11 @@ def _query_pass(query_code: np.ndarray, table: CodeTable, query_label,
 
 
 def precision_recall_curve(query_code: np.ndarray, table: CodeTable,
-                           query_label: int,
-                           exclude_id: int | None = None) -> PRCurve:
-    """Precision/recall per Hamming radius for one query against the table.
-
-    exclude_id, when given, must name exactly one table row, which is left out.
-    """
+                           query_label: int) -> PRCurve:
+    """Precision/recall per Hamming radius for one query against the table."""
     if len(table) == 0:
         raise ValueError("precision-recall curve needs a nonempty table")
-    exclude_row = None
-    if exclude_id is not None:
-        exclude_row = _table_rows(table, np.array([exclude_id]))[0]
-    return _query_pass(query_code, table, query_label, exclude_row)[1]
+    return _query_pass(query_code, table, query_label, None)[1]
 
 
 def overall_accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
@@ -181,16 +176,11 @@ class EvalReport:
     num_queries: int
     zero_relevant_queries: int
 
-    @property
-    def pr_points(self) -> list[tuple[float, float]]:
-        return list(zip(self.pr_precision.tolist(), self.pr_recall.tolist()))
-
 
 def evaluate(table: CodeTable, query_codes: np.ndarray,
              query_labels: np.ndarray,
              query_predicted: np.ndarray | None = None,
-             exclude_ids: np.ndarray | None = None,
-             ks: np.ndarray | None = None) -> EvalReport:
+             exclude_ids: np.ndarray | None = None) -> EvalReport:
     """Rank every query against the table and aggregate all four metrics.
 
     exclude_ids, when given, holds one table id per query, each naming exactly
@@ -214,13 +204,7 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     if exclude_ids is not None:
         exclude_rows = _table_rows(table, np.asarray(exclude_ids))
     depth = len(table) - (0 if exclude_ids is None else 1)
-    gather_ks = ks is not None
-    if ks is None:
-        ks = np.arange(1, depth + 1)
-    else:
-        ks = np.asarray(ks, dtype=np.int64)
-        if ks.size == 0 or ks.min() < 1 or ks.max() > depth:
-            raise ValueError(f"ks must lie in [1, {depth}]")
+    ks = np.arange(1, depth + 1)
     # float64 operands divide exactly as the integer counts would, and the
     # quotients go through one reused buffer
     k_float = ks.astype(np.float64)
@@ -243,8 +227,6 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
             zero_relevant += 1
         aps[q] = _average_precision(hit_ranks)
         hits_at = _hits_prefix(hit_ranks, depth)
-        if gather_ks:
-            hits_at = hits_at[ks - 1]
         prec_sum += np.divide(hits_at, k_float, out=quotient)
         if total_relevant > 0:
             rec_sum += np.divide(hits_at, total_relevant, out=quotient)
@@ -301,18 +283,16 @@ def write_report_json(report: EvalReport, path) -> None:
                                           report.pr_recall.tolist(),
                                           report.vacuous_radius_counts.tolist()))
     ]}, indent=2)
-    # a repeated k keeps one key at its first position (its values are equal)
-    keep = np.sort(np.unique(report.ks, return_index=True)[1])
     with open(path, "w") as fh:
         fh.write(head[:-2] + ",\n")  # drop the closing "\n}"
         for name, values in (("precision_at", report.precision_at),
                              ("recall_at", report.recall_at)):
-            if keep.size == 0:
+            if report.ks.size == 0:
                 fh.write(f'  "{name}": {{}},\n')
                 continue
             fh.write(f'  "{name}": {{\n')
             _write_rows(fh, '    "{}": {!r}', ",\n",
-                        (report.ks[keep], values[keep]))
+                        (report.ks, values))
             fh.write("\n  },\n")
         fh.write(tail[2:] + "\n")  # drop the opening "{\n"
 

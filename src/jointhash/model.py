@@ -81,14 +81,6 @@ class ModelParams:
             "cls_bias": self.cls_bias,
         }
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.hash_weights.copy(),
-            self.hash_bias.copy(),
-            self.cls_weights.copy(),
-            self.cls_bias.copy(),
-        )
-
 
 def affine_hash(features: np.ndarray, params: ModelParams) -> np.ndarray:
     """Hash-like features W*f + b for a single feature vector or a batch."""

@@ -58,13 +58,12 @@ class Hyperparams:
 
 @dataclass
 class GradientSet:
-    """Gradients of the objective, shaped like ModelParams plus features."""
+    """Gradients of the objective, shaped like ModelParams."""
 
     hash_weights: np.ndarray
     hash_bias: np.ndarray
     cls_weights: np.ndarray
     cls_bias: np.ndarray
-    features: np.ndarray
 
     def param_blocks(self) -> dict[str, np.ndarray]:
         return {
@@ -177,25 +176,18 @@ def grad_u(features: np.ndarray, labels: np.ndarray, params: ModelParams,
 
 def grad_params(features: np.ndarray, labels: np.ndarray, params: ModelParams,
                 hyper: Hyperparams, codes: np.ndarray | None = None) -> GradientSet:
-    """Gradients for all parameter blocks and the input features."""
+    """Gradients for all four parameter blocks."""
     du, f, u, g = _du(features, labels, params, hyper, codes)
     grads = GradientSet(
         hash_weights=du.T @ f,
         hash_bias=du.sum(axis=0),
         cls_weights=g.T @ u,
         cls_bias=g.sum(axis=0),
-        features=du @ params.hash_weights,
     )
-    for name, block in {**grads.param_blocks(), "features": grads.features}.items():
+    for name, block in grads.param_blocks().items():
         if not np.all(np.isfinite(block)):
             raise NumericError(f"non-finite gradient in block {name!r}")
     return grads
-
-
-def grad_features(features: np.ndarray, labels: np.ndarray, params: ModelParams,
-                  hyper: Hyperparams, codes: np.ndarray | None = None) -> np.ndarray:
-    """dJ/df_i, the gradient handed back to an upstream feature extractor."""
-    return grad_params(features, labels, params, hyper, codes).features
 
 
 def finite_diff_check(fn, x: np.ndarray, analytic: np.ndarray,
@@ -238,6 +230,7 @@ def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams
     u0 = affine_hash(f0, params)
     codes = binarize(u0)
     grads = grad_params(f0, y, params, hyper, codes=codes)
+    du = grad_u(f0, y, params, hyper, codes=codes)
 
     def with_block(name, flat):
         blocks = {k: v.copy() for k, v in params.blocks().items()}
@@ -256,8 +249,9 @@ def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams
     def fn_features(flat):
         return total_loss(flat.reshape(f0.shape), y, params, hyper, codes=codes)
 
+    # dJ/df_i, the gradient an upstream feature extractor would receive
     errors["features"] = finite_diff_check(
-        fn_features, f0.ravel(), grads.features, h
+        fn_features, f0.ravel(), du @ params.hash_weights, h
     )
 
     def fn_u(flat):
@@ -266,9 +260,7 @@ def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams
         lab = label_loss(class_scores(u, params), y)
         return hyper.eta * sim + (1.0 - hyper.eta) * lab
 
-    errors["hash_like"] = finite_diff_check(
-        fn_u, u0.ravel(), grad_u(f0, y, params, hyper, codes=codes), h
-    )
+    errors["hash_like"] = finite_diff_check(fn_u, u0.ravel(), du, h)
     return errors
 
 
@@ -284,7 +276,6 @@ class GradCheckResult:
 
     index: int
     hyper: Hyperparams
-    dims: tuple[int, int, int, int]  # (D, K, C, batch)
     errors: dict[str, float]
 
     @property
@@ -319,6 +310,5 @@ def gradient_check_suite(seed: int = 0, count: int = 20,
         features = rng.normal(0.0, 1.0, (batch, d))
         labels = rng.integers(0, c, batch)
         errors = gradient_check(features, labels, params, hyper, h=h)
-        results.append(GradCheckResult(index=i, hyper=hyper,
-                                       dims=(d, k, c, batch), errors=errors))
+        results.append(GradCheckResult(index=i, hyper=hyper, errors=errors))
     return results

@@ -52,18 +52,9 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 @dataclass
 class TrainConfig:
-    """Training-loop settings on top of the objective hyperparameters."""
+    """Training-loop settings: the objective and SGD hyperparameters."""
 
     hyper: Hyperparams
-    lr_decay: float = 1.0
-    checkpoint_interval: int = 0
-    checkpoint_dir: Path | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError(f"lr decay factor must lie in (0, 1], got {self.lr_decay}")
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint interval must be >= 0")
 
 
 @dataclass
@@ -115,7 +106,6 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
     n = len(labels)
     params = init_params(dataset.feature_dim, hyper.code_bits,
                          dataset.num_classes, hyper.seed)
-    lr = hyper.lr
     trace: list[EpochStats] = []
     for epoch in range(hyper.epochs):
         perm = _stream_rng(hyper.seed, epoch).permutation(n)
@@ -135,7 +125,7 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
                 # a step that overflows raises here, so the error names this
                 # batch rather than the next one that meets inf parameters
                 with np.errstate(over="raise"):
-                    sgd_step(params, grads, lr)
+                    sgd_step(params, grads, hyper.lr)
             except TrainingDivergedError:
                 raise
             except (NumericError, FloatingPointError) as exc:
@@ -147,11 +137,6 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
             similarity=float(np.mean([p.similarity for p in batch_parts])),
             label=float(np.mean([p.label for p in batch_parts])),
         ))
-        lr *= config.lr_decay
-        if (config.checkpoint_interval > 0 and config.checkpoint_dir is not None
-                and (epoch + 1) % config.checkpoint_interval == 0):
-            path = Path(config.checkpoint_dir) / f"checkpoint_epoch{epoch + 1:04d}.bin"
-            save_checkpoint(Checkpoint(params, hyper, epoch + 1), path)
     return params, trace
 
 

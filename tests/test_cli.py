@@ -309,6 +309,27 @@ class TestCorruptInputs:
         code = self.run_eval(corpus, trained, tmp_path, labels=bad)
         self.assert_data_error(code, capsys, bad)
 
+    @pytest.mark.parametrize("label", [b"5000000000", b"99999999999999999999"])
+    def test_label_above_u32_one_line(self, corpus, trained, tmp_path, capsys,
+                                      label):
+        # code tables store labels as u32: the label file is rejected before
+        # anything is hashed or written. With no classes= header, no class
+        # count bounds the label.
+        lines = (corpus / "train" / "labels.txt").read_bytes().splitlines()
+        assert lines[0].startswith(b"classes=")
+        lines = lines[1:]
+        lines[3] = label
+        bad = tmp_path / "labels.txt"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        code = run("encode", "--checkpoint", trained / "checkpoint.bin",
+                   "--features", corpus / "train" / "features.feat",
+                   "--labels", bad, "--codes", tmp_path / "db.htbl")
+        err = capsys.readouterr().err
+        assert code == 3
+        [line] = err.splitlines()
+        assert line.startswith(f"error: data: {bad}:4: label ")
+        assert not (tmp_path / "db.htbl").exists()
+
 
 class TestGradcheck:
     def test_passes_on_default_seed(self, capsys):
@@ -365,6 +386,13 @@ class TestConfigHandling:
         cfg.write_text("wibble=1\n")
         assert run("train", "--config", cfg) == 2
         assert "error: config:" in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"bits=8\nout=caf\xe9\n")
+        assert run("train", "--config", cfg) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: config: {cfg}: not UTF-8 text at offset 14"
 
     def test_missing_required_named(self, capsys):
         assert run("train") == 2

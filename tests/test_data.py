@@ -166,6 +166,24 @@ class TestLabelFile:
         with pytest.raises(FormatError):
             read_label_file(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("0\n4294967296\n", 2),
+        ("0\n99999999999999999999\n", 2),
+        ("classes=4294967296\n0\n", 1),
+    ])
+    def test_above_u32_names_line(self, tmp_path, text, line):
+        # code tables store labels, and checkpoints the class count, as u32
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f":{line}: "):
+            read_label_file(path)
+
+    def test_u32_max_accepted(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("classes=4294967295\n0\n4294967294\n")
+        labels, classes = read_label_file(path)
+        assert labels.tolist() == [0, 2**32 - 2] and classes == 2**32 - 1
+
 
 class TestLoadDataset:
     def test_count_mismatch_names_both_files(self, tmp_path):
@@ -192,6 +210,22 @@ class TestDatasetValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             Dataset(np.array([[1.0, np.inf]]), np.array([0]), num_classes=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 7, 14])
+    def test_non_finite_anywhere_rejected(self, bad, at):
+        features = np.ones((5, 3))
+        features.flat[at] = bad
+        with pytest.raises(DataError):
+            Dataset(features, np.zeros(5, dtype=int), num_classes=1)
+
+    @pytest.mark.parametrize("features", [
+        np.full((4, 2), 1e308), np.full((4, 2), -1e308),
+        np.array([[-0.0, 1.0], [2.0, -0.0]]), np.zeros((0, 3)),
+    ], ids=["huge", "huge_negative", "negative_zero", "empty"])
+    def test_finite_extremes_accepted(self, features):
+        ds = Dataset(features, np.zeros(len(features), dtype=int), num_classes=1)
+        assert np.array_equal(ds.features, features)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):

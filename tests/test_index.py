@@ -105,7 +105,7 @@ class TestRankAll:
             expected = sorted(range(n), key=lambda i: (dists[i], i))
             assert r.order.tolist() == expected
             assert r.distances.tolist() == [dists[i] for i in expected]
-            assert r.distances.dtype == np.int64
+            assert r.distances.dtype == np.min_scalar_type(k)
 
     @pytest.mark.parametrize("k", [1, 8, 33, 64, 255, 256, 300])
     def test_depth_is_prefix_of_brute_force(self, k):
@@ -131,7 +131,7 @@ class TestRankAll:
                     r = rank_all(query, table, depth)
                     assert r.order.tolist() == expected[:depth]
                     assert r.ids.tolist() == table.ids[expected[:depth]].tolist()
-                    assert r.distances.dtype == np.int64
+                    assert r.distances.dtype == np.min_scalar_type(k)
                     assert r.distances.tolist() == sorted_d[:depth]
                     assert np.array_equal(r.order, full.order[:depth])
                     assert np.array_equal(r.ids, full.ids[:depth])

@@ -8,7 +8,6 @@ from jointhash.model import ModelParams, affine_hash, binarize, class_scores
 from jointhash.objective import (
     Hyperparams,
     finite_diff_check,
-    grad_features,
     grad_params,
     grad_u,
     gradient_check,
@@ -261,26 +260,6 @@ class TestGradients:
         with pytest.raises(DimensionError):
             grad_params(features, np.zeros(count, dtype=int), params, Hyperparams())
 
-    def test_zero_hash_weights_zero_feature_grad(self):
-        params, features, labels = random_setup(12)
-        zeroed = ModelParams(np.zeros_like(params.hash_weights),
-                             params.hash_bias, params.cls_weights,
-                             params.cls_bias)
-        df = grad_features(features, labels, zeroed, Hyperparams())
-        assert np.all(df == 0.0)
-
-    def test_identity_hash_weights_feature_grad_equals_grad_u(self):
-        rng = np.random.default_rng(13)
-        k = 4
-        params = ModelParams(np.eye(k), rng.normal(size=k),
-                             rng.normal(size=(3, k)), rng.normal(size=3))
-        features = rng.normal(size=(5, k))
-        labels = rng.integers(0, 3, 5)
-        hyper = Hyperparams()
-        assert np.allclose(grad_features(features, labels, params, hyper),
-                           grad_u(features, labels, params, hyper),
-                           atol=1e-15, rtol=0)
-
     def test_corner_quantization_grad_zero(self):
         # u exactly at +-1 corners: quantization grad vanishes, pairwise stays
         k = 3
@@ -308,6 +287,13 @@ class TestGradients:
                             beta=float(rng.choice([0.0, 25.0])))
         errors = gradient_check(features, labels, params, hyper)
         assert max(errors.values()) < 1e-4, errors
+
+    def test_check_covers_every_block(self):
+        # dJ/df is checked here although training never computes it
+        params, features, labels = random_setup(12)
+        errors = gradient_check(features, labels, params, Hyperparams())
+        assert list(errors) == ["hash_weights", "hash_bias", "cls_weights",
+                                "cls_bias", "features", "hash_like"]
 
     def test_suite_runs_twenty_configs(self):
         results = gradient_check_suite(seed=7, count=6)
