@@ -40,7 +40,9 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):
+            self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise DataError("features must form an (N, D) matrix")
         if self.labels.shape != (self.features.shape[0],):
@@ -48,6 +50,10 @@ class Dataset:
                 f"{self.labels.shape[0]} labels for {self.features.shape[0]} "
                 "feature rows"
             )
+        if labels.dtype.kind == "f" and np.any(self.labels != labels):
+            row = int(np.argmax(self.labels != labels))
+            raise DataError(f"label {labels[row]} in row {row} is not an "
+                            "integer class index")
         # exact with no (N, D) mask: NaN propagates, an infinity is an extreme
         if not (np.isfinite(self.features.min(initial=0.0))
                 and np.isfinite(self.features.max(initial=0.0))):

@@ -96,7 +96,7 @@ def affine_hash(features: np.ndarray, params: ModelParams) -> np.ndarray:
 def binarize(u: np.ndarray) -> np.ndarray:
     """Sign codes: +1 where u > 0 and -1 otherwise (so 0 maps to -1)."""
     u = np.asarray(u)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NumericError("cannot binarize non-finite hash-like features")
     return (u > 0).view(np.int8) * np.int8(2) - np.int8(1)
 

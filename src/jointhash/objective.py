@@ -16,8 +16,10 @@ treated as constants when differentiating.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +76,10 @@ class GradientSet:
         }
 
 
+# one batch's forward pass: features, class indices, u, codes, class scores
+_Forward = namedtuple("_Forward", "f y u b t")
+
+
 @dataclass
 class LossParts:
     """Per-batch values of the joint loss and its two components."""
@@ -81,12 +87,21 @@ class LossParts:
     total: float
     similarity: float
     label: float
+    forward: _Forward = field(repr=False, compare=False)  # for grad_params
 
 
 def softplus(x):
     """log(1 + exp(x)) in the overflow-safe form max(x,0) + log1p(exp(-|x|))."""
     x = np.asarray(x, dtype=np.float64)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row indices (i, j) of every pair i < j among m rows."""
+    i, j = np.triu_indices(m, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def similarity_loss(u: np.ndarray, codes: np.ndarray, labels: np.ndarray,
@@ -100,43 +115,66 @@ def similarity_loss(u: np.ndarray, codes: np.ndarray, labels: np.ndarray,
     if y.shape != (u.shape[0],):
         raise DimensionError(f"labels have shape {y.shape}, expected one per row "
                              f"of u ({u.shape[0]})")
-    i, j = np.triu_indices(u.shape[0], k=1)
+    i, j = _pair_indices(u.shape[0])
     psi = 0.5 * np.einsum("ik,ik->i", u[i], u[j])
     # softplus(psi) - s*psi is softplus(-psi) for similar pairs (s = 1) and
     # softplus(psi) otherwise; the folded form avoids cancellation for
     # confident similar pairs
-    pairwise = float(np.sum(softplus(np.where(y[i] == y[j], -psi, psi))))
-    quantization = beta * float(np.sum((u - c) ** 2))
+    pairwise = float(softplus(np.where(y[i] == y[j], -psi, psi)).sum())
+    quantization = beta * float(((u - c) ** 2).sum())
     return pairwise + quantization
+
+
+def _class_indices(labels, rows: int, classes: int) -> np.ndarray:
+    """labels as int64, one per row, each an integer in [0, classes)."""
+    raw = np.asarray(labels)
+    with np.errstate(invalid="ignore"):
+        y = raw.astype(np.int64, copy=False)
+    if y.shape != (rows,):
+        raise DimensionError(f"labels have shape {y.shape}, expected one "
+                             f"class index per row ({rows})")
+    if raw.dtype.kind == "f" and np.any(y != raw):
+        raise DimensionError(f"label {raw[np.argmax(y != raw)]} is not "
+                             "an integer class index")
+    if rows and (y.min() < 0 or y.max() >= classes):
+        bad = y[(y < 0) | (y >= classes)][0]
+        raise DimensionError(f"class index {bad} outside [0, {classes})")
+    return y
+
+
+def _label_loss(t: np.ndarray, y: np.ndarray) -> float:
+    picked = t[np.arange(t.shape[0]), y]
+    return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
 
 
 def label_loss(distributions: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of integer class labels."""
     t = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
-    idx = np.asarray(labels, dtype=np.int64)
-    if idx.shape != (t.shape[0],):
-        raise DimensionError("one class index per distribution required")
-    picked = t[np.arange(t.shape[0]), idx]
-    return float(-np.mean(np.log(np.maximum(picked, LOG_FLOOR))))
+    return _label_loss(t, _class_indices(labels, t.shape[0], t.shape[1]))
+
+
+def _forward(features, labels, params: ModelParams, codes) -> _Forward:
+    f = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if f.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
+    u = affine_hash(f, params)
+    b = binarize(u) if codes is None else np.asarray(codes)
+    y = _class_indices(labels, f.shape[0], params.num_classes)
+    return _Forward(f, y, u, b, class_scores(u, params))
 
 
 def loss_parts(features: np.ndarray, labels: np.ndarray, params: ModelParams,
                hyper: Hyperparams, codes: np.ndarray | None = None) -> LossParts:
-    """Joint loss and its components on one batch.
+    """Forward pass, joint loss and its components on one batch.
 
     codes, when given, override the sign snapshot of u (used by the
     finite-difference harness to hold b fixed while perturbing parameters).
     """
-    f = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64)
-    if f.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
-    u = affine_hash(f, params)
-    b = binarize(u) if codes is None else codes
-    sim = similarity_loss(u, b, y, hyper.beta)
-    lab = label_loss(class_scores(u, params), y)
+    fw = _forward(features, labels, params, codes)
+    sim = similarity_loss(fw.u, fw.b, fw.y, hyper.beta)
+    lab = _label_loss(fw.t, fw.y)
     total = hyper.eta * sim + (1.0 - hyper.eta) * lab
-    return LossParts(total=total, similarity=sim, label=lab)
+    return LossParts(total=total, similarity=sim, label=lab, forward=fw)
 
 
 def total_loss(features: np.ndarray, labels: np.ndarray, params: ModelParams,
@@ -144,48 +182,38 @@ def total_loss(features: np.ndarray, labels: np.ndarray, params: ModelParams,
     return loss_parts(features, labels, params, hyper, codes).total
 
 
-def _du(features, labels, params, hyper, codes):
-    """dJ/du_i for every sample, plus intermediates reused by grad_params."""
-    f = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64)
-    m = f.shape[0]
-    if y.shape != (m,):
-        raise DimensionError(f"labels have shape {y.shape}, expected one per "
-                             f"feature row ({m})")
-    u = affine_hash(f, params)
-    b = binarize(u) if codes is None else np.asarray(codes, dtype=np.float64)
-    t = class_scores(u, params)
-
-    t[np.arange(m), y] -= 1.0  # t - onehot(y), bit for bit
-    g = (1.0 - hyper.eta) * t / m
+def _du(fw: _Forward, params: ModelParams,
+        hyper: Hyperparams) -> tuple[np.ndarray, GradientSet]:
+    """Backward pass over fw: dJ/du_i for every sample and the block gradients."""
+    u, y = fw.u, fw.y
+    m = u.shape[0]
+    r = fw.t.copy()  # label_loss read t, so the residual is a new array
+    r[np.arange(m), y] -= 1.0  # t - onehot(y), bit for bit
+    g = (1.0 - hyper.eta) * r / m
     du_label = g @ params.cls_weights
 
     # all unordered pairs: (a - s) is symmetric, diagonal excluded
     mism = logistic(0.5 * (u @ u.T)) - (y[:, None] == y[None, :]).astype(np.float64)
-    np.fill_diagonal(mism, 0.0)
-    du_sim = 0.5 * (mism @ u) + 2.0 * hyper.beta * (u - b)
+    mism.flat[::m + 1] = 0.0  # the diagonal
+    du_sim = 0.5 * (mism @ u) + 2.0 * hyper.beta * (u - fw.b)
 
-    return hyper.eta * du_sim + du_label, f, u, g
+    du = hyper.eta * du_sim + du_label
+    return du, GradientSet(hash_weights=du.T @ fw.f, hash_bias=du.sum(axis=0),
+                           cls_weights=g.T @ u, cls_bias=g.sum(axis=0))
 
 
 def grad_u(features: np.ndarray, labels: np.ndarray, params: ModelParams,
            hyper: Hyperparams, codes: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the joint loss with respect to each hash-like feature."""
-    return _du(features, labels, params, hyper, codes)[0]
+    return _du(_forward(features, labels, params, codes), params, hyper)[0]
 
 
-def grad_params(features: np.ndarray, labels: np.ndarray, params: ModelParams,
-                hyper: Hyperparams, codes: np.ndarray | None = None) -> GradientSet:
-    """Gradients for all four parameter blocks."""
-    du, f, u, g = _du(features, labels, params, hyper, codes)
-    grads = GradientSet(
-        hash_weights=du.T @ f,
-        hash_bias=du.sum(axis=0),
-        cls_weights=g.T @ u,
-        cls_bias=g.sum(axis=0),
-    )
+def grad_params(parts: LossParts, params: ModelParams,
+                hyper: Hyperparams) -> GradientSet:
+    """Backward pass over parts' batch, at the params loss_parts ran with."""
+    grads = _du(parts.forward, params, hyper)[1]
     for name, block in grads.param_blocks().items():
-        if not np.all(np.isfinite(block)):
+        if not np.isfinite(block).all():
             raise NumericError(f"non-finite gradient in block {name!r}")
     return grads
 
@@ -225,12 +253,8 @@ def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams
     codes are frozen at the unperturbed point, matching their treatment in
     the analytic gradients. Returns worst relative error per block.
     """
-    f0 = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64)
-    u0 = affine_hash(f0, params)
-    codes = binarize(u0)
-    grads = grad_params(f0, y, params, hyper, codes=codes)
-    du = grad_u(f0, y, params, hyper, codes=codes)
+    f0, y, u0, codes, _ = fw = _forward(features, labels, params, None)
+    du, grads = _du(fw, params, hyper)
 
     def with_block(name, flat):
         blocks = {k: v.copy() for k, v in params.blocks().items()}

@@ -26,13 +26,7 @@ from .model import (
     packed_words,
     predict_labels,
 )
-from .objective import (
-    GradientSet,
-    Hyperparams,
-    LossParts,
-    grad_params,
-    loss_parts,
-)
+from .objective import GradientSet, Hyperparams, grad_params, loss_parts
 
 INIT_STREAM = 2**64 - 1
 INIT_SCALE = 0.01
@@ -109,7 +103,7 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
     trace: list[EpochStats] = []
     for epoch in range(hyper.epochs):
         perm = _stream_rng(hyper.seed, epoch).permutation(n)
-        batch_parts: list[LossParts] = []
+        losses: list[tuple[float, float, float]] = []
         for start in range(0, n, hyper.batch_size):
             idx = perm[start:start + hyper.batch_size]
             feats = dataset.features[idx]
@@ -121,7 +115,7 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
                 loss = parts.total
                 if not np.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT:
                     raise TrainingDivergedError(epoch + 1, batch, loss)
-                grads = grad_params(feats, ys, params, hyper)
+                grads = grad_params(parts, params, hyper)
                 # a step that overflows raises here, so the error names this
                 # batch rather than the next one that meets inf parameters
                 with np.errstate(over="raise"):
@@ -130,13 +124,9 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
                 raise
             except (NumericError, FloatingPointError) as exc:
                 raise TrainingDivergedError(epoch + 1, batch, loss) from exc
-            batch_parts.append(parts)
-        trace.append(EpochStats(
-            epoch=epoch + 1,
-            total=float(np.mean([p.total for p in batch_parts])),
-            similarity=float(np.mean([p.similarity for p in batch_parts])),
-            label=float(np.mean([p.label for p in batch_parts])),
-        ))
+            losses.append((parts.total, parts.similarity, parts.label))
+        total, similarity, label = (float(np.mean(v)) for v in zip(*losses))
+        trace.append(EpochStats(epoch + 1, total, similarity, label))
     return params, trace
 
 

@@ -231,6 +231,17 @@ class TestDatasetValidation:
         with pytest.raises(DataError):
             Dataset(np.ones((3, 2)), np.array([0]), num_classes=2)
 
+    @pytest.mark.parametrize("bad", [2.5, -0.5, np.nan, np.inf])
+    def test_non_integral_label_names_row(self, bad):
+        labels = np.array([0.0, 1.0, 2.0, bad, 1.0])
+        with pytest.raises(DataError, match=r"in row 3 is not an integer"):
+            Dataset(np.ones((5, 2)), labels, num_classes=3)
+
+    def test_integral_float_labels_accepted(self):
+        ds = Dataset(np.ones((3, 2)), np.array([0.0, 2.0, 1.0]), num_classes=3)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 2, 1]
+
 
 class TestSynthDataset:
     def test_deterministic_files(self, tmp_path):

@@ -243,14 +243,15 @@ class TestGradients:
         hyper = Hyperparams(eta=0.0)
         u = affine_hash(features, params)
         t = class_scores(u, params)
-        g = grad_params(features, labels, params, hyper)
+        g = grad_params(loss_parts(features, labels, params, hyper), params, hyper)
         expected = np.outer((t - np.eye(params.num_classes)[labels])[0], u[0])
         assert np.max(np.abs(g.cls_weights - expected)) < 1e-14
 
     def test_zero_features_zero_hash_weight_grad(self):
         params, _, labels = random_setup(11)
         features = np.zeros((len(labels), params.feature_dim))
-        g = grad_params(features, labels, params, Hyperparams(eta=0.5))
+        hyper = Hyperparams(eta=0.5)
+        g = grad_params(loss_parts(features, labels, params, hyper), params, hyper)
         assert np.all(g.hash_weights == 0.0)
 
     @pytest.mark.parametrize("count", [1, 4, 6])
@@ -258,7 +259,7 @@ class TestGradients:
         # one label must not broadcast over a five-row batch
         params, features, _ = random_setup(13)
         with pytest.raises(DimensionError):
-            grad_params(features, np.zeros(count, dtype=int), params, Hyperparams())
+            loss_parts(features, np.zeros(count, dtype=int), params, Hyperparams())
 
     def test_corner_quantization_grad_zero(self):
         # u exactly at +-1 corners: quantization grad vanishes, pairwise stays
@@ -299,3 +300,99 @@ class TestGradients:
         results = gradient_check_suite(seed=7, count=6)
         assert len(results) == 6
         assert all(r.worst < 1e-4 for r in results)
+
+
+class TestClassIndices:
+    """Labels must be integer class indices in [0, C); numpy would otherwise
+    wrap a negative index round to the last class and truncate 2.5 to 2."""
+
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_out_of_range_rejected_by_loss_parts(self, bad):
+        params, features, labels = random_setup(20)
+        labels[2] = bad
+        with pytest.raises(DimensionError, match=rf"class index {bad} .*\[0, 3\)"):
+            loss_parts(features, labels, params, Hyperparams())
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_rejected_by_label_loss(self, bad):
+        t = np.full((2, 3), 1.0 / 3.0)
+        with pytest.raises(DimensionError, match=rf"class index {bad} .*\[0, 3\)"):
+            label_loss(t, np.array([0, bad]))
+
+    @pytest.mark.parametrize("bad", [2.5, -0.5, np.nan, np.inf])
+    def test_non_integral_rejected(self, bad):
+        params, features, labels = random_setup(21)
+        floats = labels.astype(np.float64)
+        floats[4] = bad
+        with pytest.raises(DimensionError, match="not an integer class index"):
+            loss_parts(features, floats, params, Hyperparams())
+        with pytest.raises(DimensionError, match="not an integer class index"):
+            label_loss(np.full((5, 3), 1.0 / 3.0), floats)
+
+    def test_integral_floats_accepted(self):
+        params, features, labels = random_setup(22)
+        hyper = Hyperparams()
+        assert loss_parts(features, labels.astype(np.float64), params, hyper) == \
+            loss_parts(features, labels, params, hyper)
+
+    def test_non_finite_u_raises_before_labels(self):
+        from jointhash.errors import NumericError
+
+        params, features, labels = random_setup(23)
+        features[0, 0] = np.inf
+        with pytest.raises(NumericError):
+            loss_parts(features, labels[:2] - 9, params, Hyperparams())
+
+
+class TestFusedStep:
+    def test_backward_leaves_forward_unchanged(self):
+        params, features, labels = random_setup(30)
+        hyper = Hyperparams()
+        parts = loss_parts(features, labels, params, hyper)
+        saved = [a.copy() for a in parts.forward]
+        grad_params(parts, params, hyper)
+        for before, after in zip(saved, parts.forward):
+            assert np.array_equal(before, after)
+        assert parts.label == label_loss(parts.forward.t, labels)
+
+    def test_forward_left_out_of_repr_and_equality(self):
+        params, features, labels = random_setup(31)
+        hyper = Hyperparams()
+        a = loss_parts(features, labels, params, hyper)
+        b = loss_parts(features.copy(), labels, params, hyper)
+        assert a == b and a.forward is not b.forward
+        assert repr(a) == (f"LossParts(total={a.total!r}, "
+                           f"similarity={a.similarity!r}, label={a.label!r})")
+
+    def test_gradients_match_separate_forward(self):
+        params, features, labels = random_setup(32)
+        hyper = Hyperparams(eta=0.2)
+        g = grad_params(loss_parts(features, labels, params, hyper), params, hyper)
+        u = affine_hash(features, params)
+        du = grad_u(features, labels, params, hyper, codes=binarize(u))
+        assert np.array_equal(g.hash_bias, du.sum(axis=0))
+        assert np.array_equal(g.hash_weights, du.T @ features)
+
+    def test_pair_indices_cached_read_only(self):
+        from jointhash.objective import _pair_indices
+
+        i, j = _pair_indices(6)
+        assert _pair_indices(6)[0] is i
+        assert not i.flags.writeable and not j.flags.writeable
+        with pytest.raises(ValueError):
+            i[0] = 5
+
+    def test_gradient_check_one_backward_pass(self, monkeypatch):
+        import jointhash.objective as objective
+
+        calls = []
+        real = objective._du
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(objective, "_du", counted)
+        params, features, labels = random_setup(33)
+        gradient_check(features, labels, params, Hyperparams())
+        assert len(calls) == 1

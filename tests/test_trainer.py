@@ -1,4 +1,5 @@
 import copy
+import math
 import warnings
 
 import numpy as np
@@ -17,13 +18,22 @@ from jointhash.model import (
     affine_hash,
     binarize,
     class_scores,
+    logistic,
     pack_codes,
     unpack_codes,
 )
-from jointhash.objective import GradientSet, Hyperparams, total_loss
+from jointhash.objective import (
+    GradientSet,
+    Hyperparams,
+    label_loss,
+    similarity_loss,
+    total_loss,
+)
 from jointhash.train import (
     Checkpoint,
+    EpochStats,
     TrainConfig,
+    _stream_rng,
     encode,
     encode_database,
     init_params,
@@ -155,6 +165,80 @@ class TestTrain:
         ds = small_dataset()
         _, trace = train(ds, TrainConfig(quick_hyper(epochs=3)))
         assert [r.epoch for r in trace] == [1, 2, 3]
+
+
+def two_pass_train(dataset, hyper):
+    """Reference training loop with two forward passes per batch.
+
+    The loss comes from the public similarity_loss and label_loss on one
+    forward pass; the gradient recomputes u, the codes and the class scores
+    on a second. The fused step must match it bit for bit.
+    """
+    labels = dataset.labels
+    n = len(labels)
+    params = init_params(dataset.feature_dim, hyper.code_bits,
+                         dataset.num_classes, hyper.seed)
+    eta, beta = hyper.eta, hyper.beta
+    trace = []
+    for epoch in range(hyper.epochs):
+        perm = _stream_rng(hyper.seed, epoch).permutation(n)
+        batch_parts = []
+        for start in range(0, n, hyper.batch_size):
+            idx = perm[start:start + hyper.batch_size]
+            f, y = dataset.features[idx], labels[idx]
+            u = affine_hash(f, params)
+            sim = similarity_loss(u, binarize(u), y, beta)
+            lab = label_loss(class_scores(u, params), y)
+            batch_parts.append((eta * sim + (1.0 - eta) * lab, sim, lab))
+
+            m = len(y)
+            u = affine_hash(f, params)
+            b = binarize(u).astype(np.float64)
+            t = class_scores(u, params)
+            t[np.arange(m), y] -= 1.0
+            g = (1.0 - eta) * t / m
+            mism = logistic(0.5 * (u @ u.T)) - (y[:, None] == y[None, :]).astype(np.float64)
+            np.fill_diagonal(mism, 0.0)
+            du = (eta * (0.5 * (mism @ u) + 2.0 * beta * (u - b))
+                  + g @ params.cls_weights)
+            sgd_step(params, GradientSet(du.T @ f, du.sum(axis=0), g.T @ u,
+                                         g.sum(axis=0)), hyper.lr)
+        trace.append(EpochStats(
+            epoch=epoch + 1,
+            total=float(np.mean([p[0] for p in batch_parts])),
+            similarity=float(np.mean([p[1] for p in batch_parts])),
+            label=float(np.mean([p[2] for p in batch_parts])),
+        ))
+    return params, trace
+
+
+class TestFusedStep:
+    def test_one_forward_pass_per_batch(self, monkeypatch):
+        import jointhash.objective as objective
+
+        calls = []
+        real = objective.affine_hash
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(objective, "affine_hash", counted)
+        ds = small_dataset(per_class=9)
+        hyper = quick_hyper(epochs=3, batch_size=8)
+        train(ds, TrainConfig(hyper))
+        assert len(calls) == hyper.epochs * math.ceil(len(ds) / hyper.batch_size)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 1.0])
+    def test_bitwise_equal_to_two_pass_step(self, seed, eta):
+        ds = small_dataset(seed=seed, per_class=9)
+        hyper = quick_hyper(eta=eta, seed=seed, epochs=6)
+        params, trace = train(ds, TrainConfig(hyper))
+        ref_params, ref_trace = two_pass_train(ds, hyper)
+        for name, block in params.blocks().items():
+            assert block.tobytes() == ref_params.blocks()[name].tobytes(), name
+        assert trace == ref_trace
 
 
 class TestEncodeDatabase:
