@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_open
 from .data import (
     Dataset,
     load_dataset,
@@ -159,7 +160,7 @@ def _outdir(opts: dict[str, str]) -> Path:
 
 
 def _write_trace_csv(trace, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "total", "similarity", "label"])
         for row in trace:
@@ -317,7 +318,7 @@ def cmd_sweep(opts: dict[str, str]) -> int:
                 rows.append((bits, eta, beta, map_value, oa))
                 print(f"bits={bits:<3} eta={eta:<5} beta={beta:<6} "
                       f"MAP={map_value:.4f} OA={oa:.4f}")
-    with open(out / "sweep.csv", "w", newline="") as fh:
+    with atomic_open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bits", "eta", "beta", "map", "oa"])
         for bits, eta, beta, map_value, oa in rows:

@@ -41,6 +41,9 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
+        if labels.dtype.kind == "c":
+            raise DataError(f"labels have complex dtype {labels.dtype}; class "
+                            "indices must be integers")
         with np.errstate(invalid="ignore"):
             self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_open
 from .errors import DimensionError, FormatError
 from .model import WORD_BITS, packed_words
 
@@ -175,7 +176,8 @@ def save_code_table(table: CodeTable, path) -> None:
     blob += np.ascontiguousarray(table.codes, dtype="<u8").tobytes()
     for arr in (table.ids, table.labels, table.predicted):
         blob += arr.astype("<u4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with atomic_open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_code_table(path) -> CodeTable:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_open
 from .errors import DimensionError
 from .index import CodeTable, rank_all
 
@@ -283,7 +284,7 @@ def write_report_json(report: EvalReport, path) -> None:
                                           report.pr_recall.tolist(),
                                           report.vacuous_radius_counts.tolist()))
     ]}, indent=2)
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write(head[:-2] + ",\n")  # drop the closing "\n}"
         for name, values in (("precision_at", report.precision_at),
                              ("recall_at", report.recall_at)):
@@ -300,11 +301,11 @@ def write_report_json(report: EvalReport, path) -> None:
 def write_curve_csvs(report: EvalReport, out_dir) -> None:
     """curve_topk.csv and curve_radius.csv: 10 decimals, CRLF line ends."""
     out_dir = Path(out_dir)
-    with open(out_dir / "curve_topk.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "curve_topk.csv", "w", newline="") as fh:
         fh.write("k,precision,recall\r\n")
         _write_rows(fh, "{},{:.10f},{:.10f}\r\n", "",
                     (report.ks, report.precision_at, report.recall_at))
-    with open(out_dir / "curve_radius.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "curve_radius.csv", "w", newline="") as fh:
         fh.write("radius,precision,recall,vacuous_queries\r\n")
         _write_rows(fh, "{},{:.10f},{:.10f},{}\r\n", "",
                     (np.arange(report.pr_precision.size), report.pr_precision,

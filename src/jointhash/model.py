@@ -24,11 +24,61 @@ from .errors import DimensionError, NumericError
 WORD_BITS = 64
 
 
+BLOCK_NAMES = ("hash_weights", "hash_bias", "cls_weights", "cls_bias")
+
+
+class _FlatBlocks:
+    """Base of ModelParams and GradientSet: four blocks in one float64 buffer.
+
+    The blocks are views of `flat`, laid out in BLOCK_NAMES order, so one
+    operation on `flat` (an SGD step, a finite check) covers all four. The
+    constructor copies its inputs into a new buffer; a copy or a pickle
+    round trip goes back through the constructor, so its blocks are views of
+    its own buffer. Write into a block (`params.cls_bias[:] = 0.0`) rather than
+    rebinding its attribute: a rebound attribute is no longer part of `flat`.
+    """
+
+    def __post_init__(self):
+        blocks = [np.asarray(getattr(self, name), dtype=np.float64)
+                  for name in BLOCK_NAMES]
+        self._bind(np.concatenate([b.ravel() for b in blocks]), blocks)
+
+    @classmethod
+    def _like(cls, other: "_FlatBlocks"):
+        """An instance with other's block shapes and an uninitialised buffer."""
+        new = cls.__new__(cls)
+        new._bind(np.empty_like(other.flat), other.blocks().values())
+        return new
+
+    def _bind(self, flat: np.ndarray, shaped) -> None:
+        """Set each block to the view of flat shaped like its array in shaped."""
+        self.flat = flat
+        start = 0
+        for name, block in zip(BLOCK_NAMES, shaped):
+            stop = start + block.size
+            setattr(self, name, flat[start:stop].reshape(block.shape))
+            start = stop
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in BLOCK_NAMES}
+
+    def _nonfinite_block(self) -> str | None:
+        """Name of the first block holding a NaN or an infinity, else None."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(name for name, block in self.blocks().items()
+                    if not np.isfinite(block).all())
+
+    def __reduce__(self):
+        return type(self), tuple(self.blocks().values())
+
+
 @dataclass
-class ModelParams:
+class ModelParams(_FlatBlocks):
     """Hash-layer and classifier weights.
 
-    hash_weights: (K, D), hash_bias: (K,), cls_weights: (C, K), cls_bias: (C,).
+    hash_weights: (K, D), hash_bias: (K,), cls_weights: (C, K), cls_bias: (C,),
+    each a view of the parameter vector `flat`.
     """
 
     hash_weights: np.ndarray
@@ -37,10 +87,7 @@ class ModelParams:
     cls_bias: np.ndarray
 
     def __post_init__(self):
-        self.hash_weights = np.asarray(self.hash_weights, dtype=np.float64)
-        self.hash_bias = np.asarray(self.hash_bias, dtype=np.float64)
-        self.cls_weights = np.asarray(self.cls_weights, dtype=np.float64)
-        self.cls_bias = np.asarray(self.cls_bias, dtype=np.float64)
+        super().__post_init__()
         if self.hash_weights.ndim != 2 or self.cls_weights.ndim != 2:
             raise DimensionError("weight blocks must be 2-D")
         k, _ = self.hash_weights.shape
@@ -57,9 +104,9 @@ class ModelParams:
             raise DimensionError(
                 f"classifier bias has shape {self.cls_bias.shape}, expected ({c},)"
             )
-        for name, block in self.blocks().items():
-            if not np.all(np.isfinite(block)):
-                raise NumericError(f"non-finite values in parameter block {name!r}")
+        bad = self._nonfinite_block()
+        if bad is not None:
+            raise NumericError(f"non-finite values in parameter block {bad!r}")
 
     @property
     def code_bits(self) -> int:
@@ -72,14 +119,6 @@ class ModelParams:
     @property
     def num_classes(self) -> int:
         return self.cls_weights.shape[0]
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        return {
-            "hash_weights": self.hash_weights,
-            "hash_bias": self.hash_bias,
-            "cls_weights": self.cls_weights,
-            "cls_bias": self.cls_bias,
-        }
 
 
 def affine_hash(features: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -106,8 +145,8 @@ def logistic(x):
     arr = np.asarray(x, dtype=np.float64)
     # exp(-|x|) never overflows; for x < 0 it is exp(x), bit for bit
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if arr.ndim == 0 else out
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

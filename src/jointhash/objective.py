@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .model import ModelParams, affine_hash, binarize, class_scores, logistic
+from .model import (
+    ModelParams,
+    _FlatBlocks,
+    affine_hash,
+    binarize,
+    class_scores,
+    logistic,
+)
 
 LOG_FLOOR = 1e-300
 
@@ -59,8 +66,9 @@ class Hyperparams:
 
 
 @dataclass
-class GradientSet:
-    """Gradients of the objective, shaped like ModelParams."""
+class GradientSet(_FlatBlocks):
+    """Gradients of the objective, shaped like ModelParams and laid out like
+    its `flat` vector."""
 
     hash_weights: np.ndarray
     hash_bias: np.ndarray
@@ -68,16 +76,12 @@ class GradientSet:
     cls_bias: np.ndarray
 
     def param_blocks(self) -> dict[str, np.ndarray]:
-        return {
-            "hash_weights": self.hash_weights,
-            "hash_bias": self.hash_bias,
-            "cls_weights": self.cls_weights,
-            "cls_bias": self.cls_bias,
-        }
+        return self.blocks()
 
 
-# one batch's forward pass: features, class indices, u, codes, class scores
-_Forward = namedtuple("_Forward", "f y u b t")
+# one batch's forward pass: features, class indices, u, codes, class scores,
+# the same-class mask y_i == y_j and the quantization gap u - b
+_Forward = namedtuple("_Forward", "f y u b t same gap")
 
 
 @dataclass
@@ -104,31 +108,47 @@ def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _codes_match(u: np.ndarray, codes: np.ndarray) -> None:
+    if codes.shape != u.shape:
+        raise DimensionError(f"codes shape {codes.shape} does not match u {u.shape}")
+
+
+def _similarity_loss(u: np.ndarray, same: np.ndarray, gap: np.ndarray,
+                     beta: float) -> float:
+    """L_sim from u, the same-class mask and the quantization gap u - b."""
+    i, j = _pair_indices(u.shape[0])
+    psi = 0.5 * np.einsum("ik,jk->ij", u, u)[i, j]
+    # softplus(psi) - s*psi is softplus(-psi) for similar pairs (s = 1) and
+    # softplus(psi) otherwise; the folded form avoids cancellation for
+    # confident similar pairs
+    pairwise = float(softplus(np.where(same[i, j], -psi, psi)).sum())
+    quantization = beta * float((gap ** 2).sum())
+    return pairwise + quantization
+
+
 def similarity_loss(u: np.ndarray, codes: np.ndarray, labels: np.ndarray,
                     beta: float) -> float:
     """Pairwise negative log-likelihood over all pairs i < j, plus quantization."""
     u = np.asarray(u, dtype=np.float64)
     c = np.asarray(codes, dtype=np.float64)
     y = np.asarray(labels)
-    if u.shape != c.shape:
-        raise DimensionError(f"codes shape {c.shape} does not match u {u.shape}")
+    _codes_match(u, c)
     if y.shape != (u.shape[0],):
         raise DimensionError(f"labels have shape {y.shape}, expected one per row "
                              f"of u ({u.shape[0]})")
-    i, j = _pair_indices(u.shape[0])
-    psi = 0.5 * np.einsum("ik,ik->i", u[i], u[j])
-    # softplus(psi) - s*psi is softplus(-psi) for similar pairs (s = 1) and
-    # softplus(psi) otherwise; the folded form avoids cancellation for
-    # confident similar pairs
-    pairwise = float(softplus(np.where(y[i] == y[j], -psi, psi)).sum())
-    quantization = beta * float(((u - c) ** 2).sum())
-    return pairwise + quantization
+    return _similarity_loss(u, y[:, None] == y[None, :], u - c, beta)
 
 
 def _class_indices(labels, rows: int, classes: int) -> np.ndarray:
     """labels as int64, one per row, each an integer in [0, classes)."""
     raw = np.asarray(labels)
-    with np.errstate(invalid="ignore"):
+    if raw.dtype.kind == "c":
+        raise DimensionError(f"labels have complex dtype {raw.dtype}; class "
+                             "indices must be integers")
+    if raw.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            y = raw.astype(np.int64)
+    else:
         y = raw.astype(np.int64, copy=False)
     if y.shape != (rows,):
         raise DimensionError(f"labels have shape {y.shape}, expected one "
@@ -143,13 +163,17 @@ def _class_indices(labels, rows: int, classes: int) -> np.ndarray:
 
 
 def _label_loss(t: np.ndarray, y: np.ndarray) -> float:
-    picked = t[np.arange(t.shape[0]), y]
-    return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
+    m = t.shape[0]
+    picked = t[np.arange(m), y]
+    # -(sum of logs) is the sum of the negated logs, bit for bit
+    return -float(np.log(np.maximum(picked, LOG_FLOOR)).sum()) / m
 
 
 def label_loss(distributions: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of integer class labels."""
     t = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
+    if t.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
     return _label_loss(t, _class_indices(labels, t.shape[0], t.shape[1]))
 
 
@@ -160,7 +184,9 @@ def _forward(features, labels, params: ModelParams, codes) -> _Forward:
     u = affine_hash(f, params)
     b = binarize(u) if codes is None else np.asarray(codes)
     y = _class_indices(labels, f.shape[0], params.num_classes)
-    return _Forward(f, y, u, b, class_scores(u, params))
+    _codes_match(u, b)
+    return _Forward(f, y, u, b, class_scores(u, params),
+                    y[:, None] == y[None, :], u - b)
 
 
 def loss_parts(features: np.ndarray, labels: np.ndarray, params: ModelParams,
@@ -171,7 +197,7 @@ def loss_parts(features: np.ndarray, labels: np.ndarray, params: ModelParams,
     finite-difference harness to hold b fixed while perturbing parameters).
     """
     fw = _forward(features, labels, params, codes)
-    sim = similarity_loss(fw.u, fw.b, fw.y, hyper.beta)
+    sim = _similarity_loss(fw.u, fw.same, fw.gap, hyper.beta)
     lab = _label_loss(fw.t, fw.y)
     total = hyper.eta * sim + (1.0 - hyper.eta) * lab
     return LossParts(total=total, similarity=sim, label=lab, forward=fw)
@@ -185,21 +211,26 @@ def total_loss(features: np.ndarray, labels: np.ndarray, params: ModelParams,
 def _du(fw: _Forward, params: ModelParams,
         hyper: Hyperparams) -> tuple[np.ndarray, GradientSet]:
     """Backward pass over fw: dJ/du_i for every sample and the block gradients."""
-    u, y = fw.u, fw.y
+    u = fw.u
     m = u.shape[0]
     r = fw.t.copy()  # label_loss read t, so the residual is a new array
-    r[np.arange(m), y] -= 1.0  # t - onehot(y), bit for bit
+    r[np.arange(m), fw.y] -= 1.0  # t - onehot(y), bit for bit
     g = (1.0 - hyper.eta) * r / m
     du_label = g @ params.cls_weights
 
-    # all unordered pairs: (a - s) is symmetric, diagonal excluded
-    mism = logistic(0.5 * (u @ u.T)) - (y[:, None] == y[None, :]).astype(np.float64)
+    # all unordered pairs: (a - s) is symmetric, diagonal excluded; the bool
+    # mask subtracts as 0.0 and 1.0
+    mism = logistic(0.5 * (u @ u.T)) - fw.same
     mism.flat[::m + 1] = 0.0  # the diagonal
-    du_sim = 0.5 * (mism @ u) + 2.0 * hyper.beta * (u - fw.b)
+    du_sim = 0.5 * (mism @ u) + 2.0 * hyper.beta * fw.gap
 
     du = hyper.eta * du_sim + du_label
-    return du, GradientSet(hash_weights=du.T @ fw.f, hash_bias=du.sum(axis=0),
-                           cls_weights=g.T @ u, cls_bias=g.sum(axis=0))
+    grads = GradientSet._like(params)
+    np.matmul(du.T, fw.f, out=grads.hash_weights)
+    du.sum(axis=0, out=grads.hash_bias)
+    np.matmul(g.T, u, out=grads.cls_weights)
+    g.sum(axis=0, out=grads.cls_bias)
+    return du, grads
 
 
 def grad_u(features: np.ndarray, labels: np.ndarray, params: ModelParams,
@@ -212,9 +243,9 @@ def grad_params(parts: LossParts, params: ModelParams,
                 hyper: Hyperparams) -> GradientSet:
     """Backward pass over parts' batch, at the params loss_parts ran with."""
     grads = _du(parts.forward, params, hyper)[1]
-    for name, block in grads.param_blocks().items():
-        if not np.isfinite(block).all():
-            raise NumericError(f"non-finite gradient in block {name!r}")
+    bad = grads._nonfinite_block()
+    if bad is not None:
+        raise NumericError(f"non-finite gradient in block {bad!r}")
     return grads
 
 
@@ -253,11 +284,12 @@ def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams
     codes are frozen at the unperturbed point, matching their treatment in
     the analytic gradients. Returns worst relative error per block.
     """
-    f0, y, u0, codes, _ = fw = _forward(features, labels, params, None)
+    fw = _forward(features, labels, params, None)
+    f0, y, u0, codes = fw.f, fw.y, fw.u, fw.b
     du, grads = _du(fw, params, hyper)
 
     def with_block(name, flat):
-        blocks = {k: v.copy() for k, v in params.blocks().items()}
+        blocks = params.blocks()  # a new dict; ModelParams copies its blocks
         blocks[name] = flat.reshape(blocks[name].shape)
         return ModelParams(**blocks)
 

@@ -8,12 +8,14 @@ is involved.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_open
 from .data import BLOCK_ROWS
 from .errors import DataError, FormatError, NumericError, TrainingDivergedError
 from .index import CodeTable
@@ -84,10 +86,7 @@ def init_params(feature_dim: int, code_bits: int, num_classes: int,
 
 def sgd_step(params: ModelParams, grads: GradientSet, lr: float) -> ModelParams:
     """One in-place descent step on all four parameter blocks."""
-    params.hash_weights -= lr * grads.hash_weights
-    params.hash_bias -= lr * grads.hash_bias
-    params.cls_weights -= lr * grads.cls_weights
-    params.cls_bias -= lr * grads.cls_bias
+    params.flat -= lr * grads.flat
     return params
 
 
@@ -113,7 +112,7 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
             try:
                 parts = loss_parts(feats, ys, params, hyper)
                 loss = parts.total
-                if not np.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT:
+                if not math.isfinite(loss) or abs(loss) > DIVERGENCE_LIMIT:
                     raise TrainingDivergedError(epoch + 1, batch, loss)
                 grads = grad_params(parts, params, hyper)
                 # a step that overflows raises here, so the error names this
@@ -168,11 +167,11 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
     blob = bytearray()
     blob += _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                          p.feature_dim, p.code_bits, p.num_classes)
-    for block in p.blocks().values():
-        blob += np.ascontiguousarray(block, dtype="<f8").tobytes()
+    blob += p.flat.astype("<f8", copy=False).tobytes()  # the four blocks in order
     blob += _HYPER.pack(h.eta, h.beta, h.lr, h.batch_size, h.epochs, h.seed)
     blob += _EPOCH.pack(cp.epoch)
-    Path(path).write_bytes(bytes(blob))
+    with atomic_open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -201,10 +200,10 @@ def load_checkpoint(path) -> Checkpoint:
     (epoch,) = _EPOCH.unpack_from(raw, offset)
     try:
         params = ModelParams(
-            hash_weights=arrays[0].reshape(k, d).copy(),
-            hash_bias=arrays[1].copy(),
-            cls_weights=arrays[2].reshape(c, k).copy(),
-            cls_bias=arrays[3].copy(),
+            hash_weights=arrays[0].reshape(k, d),
+            hash_bias=arrays[1],
+            cls_weights=arrays[2].reshape(c, k),
+            cls_bias=arrays[3],
         )
         hyper = Hyperparams(eta=eta, beta=beta, lr=lr, code_bits=k,
                             batch_size=batch, epochs=epochs, seed=seed)

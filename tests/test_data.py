@@ -237,6 +237,12 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match=r"in row 3 is not an integer"):
             Dataset(np.ones((5, 2)), labels, num_classes=3)
 
+    @pytest.mark.parametrize("labels", [[0, 1 + 0.5j], [0, 1 + 0j]],
+                             ids=["imaginary_part", "zero_imaginary_part"])
+    def test_complex_labels_rejected(self, labels):
+        with pytest.raises(DataError, match="complex dtype"):
+            Dataset(np.ones((2, 2)), np.array(labels), num_classes=2)
+
     def test_integral_float_labels_accepted(self):
         ds = Dataset(np.ones((3, 2)), np.array([0.0, 2.0, 1.0]), num_classes=3)
         assert ds.labels.dtype == np.int64

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from jointhash.errors import DimensionError, NumericError
 from jointhash.model import (
+    BLOCK_NAMES,
     ModelParams,
     affine_hash,
     binarize,
@@ -14,6 +18,7 @@ from jointhash.model import (
     predict_labels,
     unpack_codes,
 )
+from jointhash.objective import GradientSet
 
 
 def make_params(k=2, d=2, c=3, seed=0):
@@ -250,3 +255,65 @@ class TestPacking:
     def test_word_count_mismatch(self):
         with pytest.raises(DimensionError):
             unpack_codes(np.zeros(2, dtype=np.uint64), 200)
+
+
+def make_grads(k=2, d=2, c=3, seed=9):
+    rng = np.random.default_rng(seed)
+    return GradientSet(rng.normal(size=(k, d)), rng.normal(size=k),
+                       rng.normal(size=(c, k)), rng.normal(size=c))
+
+
+def assert_views_of_flat(obj):
+    """Every block is a view of obj.flat, laid out in BLOCK_NAMES order."""
+    blocks = obj.blocks()
+    assert list(blocks) == list(BLOCK_NAMES)
+    for block in blocks.values():
+        assert block.base is obj.flat
+    assert np.array_equal(obj.flat,
+                          np.concatenate([b.ravel() for b in blocks.values()]))
+
+
+@pytest.mark.parametrize("make", [make_params, make_grads],
+                         ids=["ModelParams", "GradientSet"])
+class TestFlatBuffer:
+    def test_blocks_are_views_of_flat(self, make):
+        obj = make(k=3, d=4, c=2)
+        assert obj.flat.shape == (3 * 4 + 3 + 2 * 3 + 2,)
+        assert obj.flat.dtype == np.float64
+        assert_views_of_flat(obj)
+        obj.flat[:] = 0.0
+        assert all(not b.any() for b in obj.blocks().values())
+
+    def test_constructor_copies_its_inputs(self, make):
+        obj = make()
+        inputs = {name: block.copy() for name, block in obj.blocks().items()}
+        again = type(obj)(**inputs)
+        for block in inputs.values():
+            block[...] = 7.0
+        assert np.array_equal(again.flat, obj.flat)
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy,
+        copy.copy,
+        lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["deepcopy", "copy", "pickle"])
+    def test_copies_own_their_buffer(self, make, duplicate):
+        obj = make(k=3, d=4, c=2)
+        dup = duplicate(obj)
+        assert type(dup) is type(obj)
+        assert_views_of_flat(dup)
+        assert not np.shares_memory(dup.flat, obj.flat)
+        assert np.array_equal(dup.flat, obj.flat)
+        for name, block in dup.blocks().items():
+            assert block.shape == getattr(obj, name).shape
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("name", BLOCK_NAMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_block(self, name, bad):
+        blocks = make_params(k=3, d=4, c=2).blocks()
+        blocks[name] = blocks[name].copy()
+        blocks[name].flat[-1] = bad
+        with pytest.raises(NumericError, match=f"parameter block '{name}'"):
+            ModelParams(**blocks)

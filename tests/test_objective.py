@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jointhash.errors import DimensionError
+from jointhash.errors import DimensionError, NumericError
 from jointhash.model import ModelParams, affine_hash, binarize, class_scores
 from jointhash.objective import (
     Hyperparams,
@@ -151,6 +151,11 @@ class TestLabelLoss:
         t = np.array([[0.7, 0.3], [0.2, 0.8]])
         with pytest.raises(DimensionError):
             label_loss(t, np.eye(2))
+
+    def test_empty_batch_rejected(self):
+        # the mean of no rows is 0/0; like loss_parts, refuse the batch
+        with pytest.raises(ValueError, match="batch must be nonempty"):
+            label_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 class TestTotalLoss:
@@ -329,6 +334,17 @@ class TestClassIndices:
         with pytest.raises(DimensionError, match="not an integer class index"):
             label_loss(np.full((5, 3), 1.0 / 3.0), floats)
 
+    @pytest.mark.parametrize("imag", [0.5, 0.0])
+    def test_complex_rejected(self, imag):
+        # even 1+0j: casting a complex array to int64 drops the imaginary part
+        params, features, labels = random_setup(24)
+        complex_labels = labels.astype(np.complex128)
+        complex_labels[1] += 1j * imag
+        with pytest.raises(DimensionError, match="complex dtype"):
+            loss_parts(features, complex_labels, params, Hyperparams())
+        with pytest.raises(DimensionError, match="complex dtype"):
+            label_loss(np.full((5, 3), 1.0 / 3.0), complex_labels)
+
     def test_integral_floats_accepted(self):
         params, features, labels = random_setup(22)
         hyper = Hyperparams()
@@ -336,8 +352,6 @@ class TestClassIndices:
             loss_parts(features, labels, params, hyper)
 
     def test_non_finite_u_raises_before_labels(self):
-        from jointhash.errors import NumericError
-
         params, features, labels = random_setup(23)
         features[0, 0] = np.inf
         with pytest.raises(NumericError):
@@ -372,6 +386,20 @@ class TestFusedStep:
         du = grad_u(features, labels, params, hyper, codes=binarize(u))
         assert np.array_equal(g.hash_bias, du.sum(axis=0))
         assert np.array_equal(g.hash_weights, du.T @ features)
+
+    @pytest.mark.parametrize("name", ["hash_weights", "hash_bias",
+                                      "cls_weights", "cls_bias"])
+    def test_non_finite_gradient_names_block(self, name, monkeypatch):
+        import jointhash.objective as objective
+
+        params, features, labels = random_setup(34)
+        hyper = Hyperparams()
+        parts = loss_parts(features, labels, params, hyper)
+        du, grads = objective._du(parts.forward, params, hyper)
+        getattr(grads, name).flat[0] = np.nan
+        monkeypatch.setattr(objective, "_du", lambda *args: (du, grads))
+        with pytest.raises(NumericError, match=f"gradient in block '{name}'"):
+            grad_params(parts, params, hyper)
 
     def test_pair_indices_cached_read_only(self):
         from jointhash.objective import _pair_indices

@@ -102,6 +102,16 @@ class TestSgdStep:
         params, zeros = self.make()
         assert sgd_step(params, zeros, lr=0.1) is params
 
+    def test_step_on_copy_moves_only_the_copy(self):
+        params, _ = self.make()
+        grads = GradientSet(np.ones((3, 4)), np.ones(3), np.ones((2, 3)),
+                            np.ones(2))
+        before = params.flat.copy()
+        moved = sgd_step(copy.deepcopy(params), grads, lr=0.5)
+        assert np.array_equal(params.flat, before)
+        for name, block in moved.blocks().items():
+            assert np.array_equal(block, params.blocks()[name] - 0.5), name
+
 
 class TestTrain:
     def test_deterministic(self):
@@ -240,6 +250,28 @@ class TestFusedStep:
             assert block.tobytes() == ref_params.blocks()[name].tobytes(), name
         assert trace == ref_trace
 
+    # 27 rows: batch 8 leaves a ragged last batch of 3, batch 10 one of 7
+    @pytest.mark.parametrize("code_bits, batch_size, beta", [
+        (1, 8, 25.0),
+        (33, 10, 25.0),
+        (64, 8, 25.0),
+        (16, 1, 25.0),
+        (8, 8, 0.0),
+        (33, 27, 0.0),
+    ], ids=["K1", "K33-ragged7", "K64", "batch1", "beta0", "K33-one-batch-beta0"])
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 1.0])
+    def test_bitwise_equal_to_two_pass_step_at_edge_shapes(
+            self, eta, code_bits, batch_size, beta):
+        ds = small_dataset(seed=3, per_class=9)
+        hyper = quick_hyper(eta=eta, code_bits=code_bits, batch_size=batch_size,
+                            beta=beta, seed=3, epochs=4)
+        params, trace = train(ds, TrainConfig(hyper))
+        ref_params, ref_trace = two_pass_train(ds, hyper)
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+        for name, block in params.blocks().items():
+            assert block.tobytes() == ref_params.blocks()[name].tobytes(), name
+        assert trace == ref_trace
+
 
 class TestEncodeDatabase:
     def test_codes_match_forward_composition(self):
@@ -319,6 +351,13 @@ class TestCheckpointIO:
             assert np.array_equal(a, b)
         assert loaded.hyper == cp.hyper
         assert loaded.epoch == 17
+
+    def test_body_is_blocks_in_order(self, tmp_path):
+        params = init_params(5, 6, 3, seed=4)
+        path, _ = self.roundtrip(tmp_path, Checkpoint(params, quick_hyper(), 2))
+        body = b"".join(np.ascontiguousarray(b, dtype="<f8").tobytes()
+                        for b in params.blocks().values())
+        assert path.read_bytes()[18:18 + len(body)] == body
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "cp.bin"
