@@ -36,35 +36,40 @@ class _FlatBlocks:
     round trip goes back through the constructor, so its blocks are views of
     its own buffer. Write into a block (`params.cls_bias[:] = 0.0`) rather than
     rebinding its attribute: a rebound attribute is no longer part of `flat`.
+    Two instances are equal when they have the same type, the same block
+    shapes and equal `flat` vectors.
     """
 
     def __post_init__(self):
         blocks = [np.asarray(getattr(self, name), dtype=np.float64)
                   for name in BLOCK_NAMES]
-        self._bind(np.concatenate([b.ravel() for b in blocks]), blocks)
+        layout, start = [], 0
+        for name, block in zip(BLOCK_NAMES, blocks):
+            layout.append((name, slice(start, start + block.size), block.shape))
+            start += block.size
+        self._bind(np.concatenate([b.ravel() for b in blocks]), tuple(layout))
 
     @classmethod
     def _like(cls, other: "_FlatBlocks"):
         """An instance with other's block shapes and an uninitialised buffer."""
         new = cls.__new__(cls)
-        new._bind(np.empty_like(other.flat), other.blocks().values())
+        new._bind(np.empty_like(other.flat), other._layout)
         return new
 
-    def _bind(self, flat: np.ndarray, shaped) -> None:
-        """Set each block to the view of flat shaped like its array in shaped."""
+    def _bind(self, flat: np.ndarray, layout) -> None:
+        """Set each block to its view of flat; layout holds one (name, span,
+        shape) per block, in BLOCK_NAMES order."""
         self.flat = flat
-        start = 0
-        for name, block in zip(BLOCK_NAMES, shaped):
-            stop = start + block.size
-            setattr(self, name, flat[start:stop].reshape(block.shape))
-            start = stop
+        self._layout = layout
+        for name, span, shape in layout:
+            setattr(self, name, flat[span].reshape(shape))
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in BLOCK_NAMES}
 
     def _nonfinite_block(self) -> str | None:
         """Name of the first block holding a NaN or an infinity, else None."""
-        if np.isfinite(self.flat).all():
+        if np.logical_and.reduce(np.isfinite(self.flat)):
             return None
         return next(name for name, block in self.blocks().items()
                     if not np.isfinite(block).all())
@@ -72,8 +77,14 @@ class _FlatBlocks:
     def __reduce__(self):
         return type(self), tuple(self.blocks().values())
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # equal layouts mean equal block shapes
+        return self._layout == other._layout and np.array_equal(self.flat, other.flat)
 
-@dataclass
+
+@dataclass(eq=False)
 class ModelParams(_FlatBlocks):
     """Hash-layer and classifier weights.
 
@@ -135,26 +146,34 @@ def affine_hash(features: np.ndarray, params: ModelParams) -> np.ndarray:
 def binarize(u: np.ndarray) -> np.ndarray:
     """Sign codes: +1 where u > 0 and -1 otherwise (so 0 maps to -1)."""
     u = np.asarray(u)
-    if not np.isfinite(u).all():
+    if not np.logical_and.reduce(np.isfinite(u), axis=None):
         raise NumericError("cannot binarize non-finite hash-like features")
     return (u > 0).view(np.int8) * np.int8(2) - np.int8(1)
+
+
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|): never overflows, and for x < 0 it is exp(x), bit for bit."""
+    return np.exp(-np.abs(x))
+
+
+def _logistic(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) from x and e = _exp_neg_abs(x), as a new array."""
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic(x):
     """Numerically stable 1 / (1 + exp(-x)), elementwise."""
     arr = np.asarray(x, dtype=np.float64)
-    # exp(-|x|) never overflows; for x < 0 it is exp(x), bit for bit
-    e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    out = _logistic(arr, _exp_neg_abs(arr))
     return float(out) if arr.ndim == 0 else out
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
     s = np.asarray(scores, dtype=np.float64)
-    shifted = s - s.max(axis=-1, keepdims=True)
+    shifted = s - np.maximum.reduce(s, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def class_scores(u: np.ndarray, params: ModelParams) -> np.ndarray:

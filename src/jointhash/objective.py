@@ -26,11 +26,12 @@ import numpy as np
 from .errors import DimensionError, NumericError
 from .model import (
     ModelParams,
+    _exp_neg_abs,
     _FlatBlocks,
+    _logistic,
     affine_hash,
     binarize,
     class_scores,
-    logistic,
 )
 
 LOG_FLOOR = 1e-300
@@ -65,7 +66,7 @@ class Hyperparams:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass
+@dataclass(eq=False)
 class GradientSet(_FlatBlocks):
     """Gradients of the objective, shaped like ModelParams and laid out like
     its `flat` vector."""
@@ -80,8 +81,10 @@ class GradientSet(_FlatBlocks):
 
 
 # one batch's forward pass: features, class indices, u, codes, class scores,
-# the same-class mask y_i == y_j and the quantization gap u - b
-_Forward = namedtuple("_Forward", "f y u b t same gap")
+# the one-hot label mask, the same-class mask y_i == y_j, the quantization gap
+# u - b, the pair logits x (the m x m matrix psi_ij = u_i . u_j / 2) and
+# e = exp(-|x|)
+_Forward = namedtuple("_Forward", "f y u b t onehot same gap x e")
 
 
 @dataclass
@@ -94,10 +97,15 @@ class LossParts:
     forward: _Forward = field(repr=False, compare=False)  # for grad_params
 
 
+def _softplus(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) from x and e = exp(-|x|), as max(x, 0) + log1p(e)."""
+    return np.maximum(x, 0.0) + np.log1p(e)
+
+
 def softplus(x):
     """log(1 + exp(x)) in the overflow-safe form max(x,0) + log1p(exp(-|x|))."""
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return _softplus(x, _exp_neg_abs(x))
 
 
 @functools.lru_cache(maxsize=16)
@@ -108,21 +116,38 @@ def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_positions(m: int) -> np.ndarray:
+    """Read-only flat positions i * m + j of the pairs i < j in an m x m array."""
+    i, j = _pair_indices(m)
+    k = i * m + j
+    k.flags.writeable = False
+    return k
+
+
+def _pair_logits(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = psi_ij = u_i . u_j / 2 for every i, j, and e = exp(-|x|)."""
+    x = 0.5 * (u @ u.T)
+    return x, _exp_neg_abs(x)
+
+
 def _codes_match(u: np.ndarray, codes: np.ndarray) -> None:
     if codes.shape != u.shape:
         raise DimensionError(f"codes shape {codes.shape} does not match u {u.shape}")
 
 
-def _similarity_loss(u: np.ndarray, same: np.ndarray, gap: np.ndarray,
-                     beta: float) -> float:
-    """L_sim from u, the same-class mask and the quantization gap u - b."""
-    i, j = _pair_indices(u.shape[0])
-    psi = 0.5 * np.einsum("ik,jk->ij", u, u)[i, j]
+def _similarity_loss(x: np.ndarray, e: np.ndarray, same: np.ndarray,
+                     gap: np.ndarray, beta: float) -> float:
+    """L_sim from the pair logits x and e = exp(-|x|), the same-class mask and
+    the quantization gap u - b."""
+    k = _pair_positions(x.shape[0])
+    psi = x.ravel().take(k)
     # softplus(psi) - s*psi is softplus(-psi) for similar pairs (s = 1) and
     # softplus(psi) otherwise; the folded form avoids cancellation for
-    # confident similar pairs
-    pairwise = float(softplus(np.where(same[i, j], -psi, psi)).sum())
-    quantization = beta * float((gap ** 2).sum())
+    # confident similar pairs, and exp(-|-psi|) is e as well
+    pairwise = float(np.add.reduce(
+        _softplus(np.where(same.ravel().take(k), -psi, psi), e.ravel().take(k))))
+    quantization = beta * float(np.add.reduce(gap ** 2, axis=None))
     return pairwise + quantization
 
 
@@ -136,7 +161,7 @@ def similarity_loss(u: np.ndarray, codes: np.ndarray, labels: np.ndarray,
     if y.shape != (u.shape[0],):
         raise DimensionError(f"labels have shape {y.shape}, expected one per row "
                              f"of u ({u.shape[0]})")
-    return _similarity_loss(u, y[:, None] == y[None, :], u - c, beta)
+    return _similarity_loss(*_pair_logits(u), y[:, None] == y[None, :], u - c, beta)
 
 
 def _class_indices(labels, rows: int, classes: int) -> np.ndarray:
@@ -156,17 +181,22 @@ def _class_indices(labels, rows: int, classes: int) -> np.ndarray:
     if raw.dtype.kind == "f" and np.any(y != raw):
         raise DimensionError(f"label {raw[np.argmax(y != raw)]} is not "
                              "an integer class index")
-    if rows and (y.min() < 0 or y.max() >= classes):
+    if rows and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
         bad = y[(y < 0) | (y >= classes)][0]
         raise DimensionError(f"class index {bad} outside [0, {classes})")
     return y
 
 
-def _label_loss(t: np.ndarray, y: np.ndarray) -> float:
+def _onehot(y: np.ndarray, classes: int) -> np.ndarray:
+    """The (m, classes) bool mask with one True per row, at its class index."""
+    return y[:, None] == np.arange(classes)
+
+
+def _label_loss(t: np.ndarray, onehot: np.ndarray) -> float:
     m = t.shape[0]
-    picked = t[np.arange(m), y]
+    picked = t[onehot]  # t_i[y_i], one per row, in row order
     # -(sum of logs) is the sum of the negated logs, bit for bit
-    return -float(np.log(np.maximum(picked, LOG_FLOOR)).sum()) / m
+    return -float(np.add.reduce(np.log(np.maximum(picked, LOG_FLOOR)))) / m
 
 
 def label_loss(distributions: np.ndarray, labels: np.ndarray) -> float:
@@ -174,7 +204,8 @@ def label_loss(distributions: np.ndarray, labels: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
     if t.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    return _label_loss(t, _class_indices(labels, t.shape[0], t.shape[1]))
+    y = _class_indices(labels, t.shape[0], t.shape[1])
+    return _label_loss(t, _onehot(y, t.shape[1]))
 
 
 def _forward(features, labels, params: ModelParams, codes) -> _Forward:
@@ -186,7 +217,8 @@ def _forward(features, labels, params: ModelParams, codes) -> _Forward:
     y = _class_indices(labels, f.shape[0], params.num_classes)
     _codes_match(u, b)
     return _Forward(f, y, u, b, class_scores(u, params),
-                    y[:, None] == y[None, :], u - b)
+                    _onehot(y, params.num_classes), y[:, None] == y[None, :],
+                    u - b, *_pair_logits(u))
 
 
 def loss_parts(features: np.ndarray, labels: np.ndarray, params: ModelParams,
@@ -197,8 +229,8 @@ def loss_parts(features: np.ndarray, labels: np.ndarray, params: ModelParams,
     finite-difference harness to hold b fixed while perturbing parameters).
     """
     fw = _forward(features, labels, params, codes)
-    sim = _similarity_loss(fw.u, fw.same, fw.gap, hyper.beta)
-    lab = _label_loss(fw.t, fw.y)
+    sim = _similarity_loss(fw.x, fw.e, fw.same, fw.gap, hyper.beta)
+    lab = _label_loss(fw.t, fw.onehot)
     total = hyper.eta * sim + (1.0 - hyper.eta) * lab
     return LossParts(total=total, similarity=sim, label=lab, forward=fw)
 
@@ -213,23 +245,27 @@ def _du(fw: _Forward, params: ModelParams,
     """Backward pass over fw: dJ/du_i for every sample and the block gradients."""
     u = fw.u
     m = u.shape[0]
-    r = fw.t.copy()  # label_loss read t, so the residual is a new array
-    r[np.arange(m), fw.y] -= 1.0  # t - onehot(y), bit for bit
-    g = (1.0 - hyper.eta) * r / m
-    du_label = g @ params.cls_weights
+    # bool masks subtract as 0.0 and 1.0; label_loss read t, so the residual
+    # t - onehot(y) is a new array
+    g = fw.t - fw.onehot
+    g *= 1.0 - hyper.eta
+    g /= m  # (1 - eta) * (t - onehot(y)) / m
 
-    # all unordered pairs: (a - s) is symmetric, diagonal excluded; the bool
-    # mask subtracts as 0.0 and 1.0
-    mism = logistic(0.5 * (u @ u.T)) - fw.same
+    # all unordered pairs: (a - s) is symmetric, diagonal excluded
+    mism = _logistic(fw.x, fw.e)
+    mism -= fw.same
     mism.flat[::m + 1] = 0.0  # the diagonal
-    du_sim = 0.5 * (mism @ u) + 2.0 * hyper.beta * fw.gap
+    du = mism @ u
+    du *= 0.5
+    du += 2.0 * hyper.beta * fw.gap
+    du *= hyper.eta  # eta * dL_sim/du + dL_label/du
+    du += g @ params.cls_weights
 
-    du = hyper.eta * du_sim + du_label
     grads = GradientSet._like(params)
     np.matmul(du.T, fw.f, out=grads.hash_weights)
-    du.sum(axis=0, out=grads.hash_bias)
+    np.add.reduce(du, axis=0, out=grads.hash_bias)
     np.matmul(g.T, u, out=grads.cls_weights)
-    g.sum(axis=0, out=grads.cls_bias)
+    np.add.reduce(g, axis=0, out=grads.cls_bias)
     return du, grads
 
 
@@ -256,8 +292,8 @@ def finite_diff_check(fn, x: np.ndarray, analytic: np.ndarray,
     fn maps a flat float64 vector to a scalar. The per-coordinate error is
     |a - n| / max(|a|, |n|, 1e-8).
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be finite and positive, got {h}")
     x = np.asarray(x, dtype=np.float64).copy()
     a = np.asarray(analytic, dtype=np.float64).ravel()
     numeric = np.empty_like(a)
@@ -335,8 +371,15 @@ class GradCheckResult:
     errors: dict[str, float]
 
     @property
+    def worst_block(self) -> str:
+        """The block with the largest error; a NaN counts as the largest."""
+        names = list(self.errors)
+        # argmax, unlike max(), stops at the first NaN
+        return names[int(np.argmax([self.errors[n] for n in names]))]
+
+    @property
     def worst(self) -> float:
-        return max(self.errors.values())
+        return self.errors[self.worst_block]
 
 
 def gradient_check_suite(seed: int = 0, count: int = 20,

@@ -339,6 +339,20 @@ class TestGradcheck:
         worst = float(out.strip().splitlines()[-1].split()[4])
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_error_fails(self, bad, capsys, monkeypatch):
+        import jointhash.cli as cli
+        from jointhash.objective import GradCheckResult
+
+        errors = {"hash_weights": 1e-9, "cls_bias": bad}
+        monkeypatch.setattr(cli, "gradient_check_suite", lambda seed: [
+            GradCheckResult(0, Hyperparams(), {"hash_weights": 1e-9}),
+            GradCheckResult(1, Hyperparams(), errors)])
+        assert run("gradcheck") == 4
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].endswith(f"worst {bad:.3e} (cls_bias)")
+        assert out[-1].startswith(f"FAIL: worst relative error {bad:.3e}")
+
 
 class TestSweep:
     def test_csv_grid(self, corpus, tmp_path):

@@ -317,3 +317,34 @@ class TestNonFiniteParams:
         blocks[name].flat[-1] = bad
         with pytest.raises(NumericError, match=f"parameter block '{name}'"):
             ModelParams(**blocks)
+
+
+@pytest.mark.parametrize("make", [make_params, make_grads],
+                         ids=["ModelParams", "GradientSet"])
+class TestEquality:
+    def test_equal_blocks_compare_equal(self, make):
+        a, b = make(k=3, d=4, c=2), make(k=3, d=4, c=2)
+        assert a is not b
+        assert a == b and not a != b
+
+    def test_one_changed_element_compares_unequal(self, make):
+        a = make(k=3, d=4, c=2)
+        b = copy.deepcopy(a)
+        b.cls_bias[-1] = np.nextafter(b.cls_bias[-1], np.inf)
+        assert a != b and not a == b
+
+    def test_same_flat_under_other_shapes_compares_unequal(self, make):
+        # K=1, D=4, C=4 and K=2, D=1, C=3 both hold 13 numbers
+        a = make(k=1, d=4, c=4)
+        flat = a.flat.copy()
+        b = type(a)(flat[:2].reshape(2, 1), flat[2:4],
+                    flat[4:10].reshape(3, 2), flat[10:])
+        assert np.array_equal(a.flat, b.flat)
+        assert a != b
+
+
+def test_params_and_gradients_never_compare_equal():
+    params = make_params()
+    grads = GradientSet(**params.blocks())
+    assert np.array_equal(params.flat, grads.flat)
+    assert params != grads and grads != params

@@ -6,6 +6,8 @@ import pytest
 from jointhash.errors import DimensionError, NumericError
 from jointhash.model import ModelParams, affine_hash, binarize, class_scores
 from jointhash.objective import (
+    GRADCHECK_TOLERANCE,
+    GradCheckResult,
     Hyperparams,
     finite_diff_check,
     grad_params,
@@ -231,6 +233,32 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             finite_diff_check(lambda x: 0.0, np.zeros(1), np.zeros(1), h=0.0)
 
+    @pytest.mark.parametrize("h", [-1e-5, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_step(self, h):
+        with pytest.raises(ValueError, match="step size h"):
+            finite_diff_check(lambda x: 0.0, np.zeros(1), np.zeros(1), h=h)
+
+
+class TestGradCheckResult:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_error_is_the_worst(self, bad):
+        result = GradCheckResult(0, Hyperparams(), {"hash_weights": 1e-9,
+                                                    "hash_bias": 2e-9,
+                                                    "cls_bias": bad})
+        assert result.worst_block == "cls_bias"
+        assert not result.worst < GRADCHECK_TOLERANCE
+
+    def test_nan_ranks_above_a_later_inf(self):
+        result = GradCheckResult(0, Hyperparams(), {"hash_bias": math.nan,
+                                                    "cls_bias": math.inf})
+        assert result.worst_block == "hash_bias"
+
+    def test_first_largest_error_wins_a_tie(self):
+        result = GradCheckResult(0, Hyperparams(), {"hash_weights": 1e-9,
+                                                    "hash_bias": 3e-9,
+                                                    "cls_bias": 3e-9})
+        assert (result.worst_block, result.worst) == ("hash_bias", 3e-9)
+
 
 class TestGradients:
     def test_eta_zero_grad_u_is_classifier_pullback(self):
@@ -424,3 +452,26 @@ class TestFusedStep:
         params, features, labels = random_setup(33)
         gradient_check(features, labels, params, Hyperparams())
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [1, 2, 32])
+    @pytest.mark.parametrize("k", [1, 16, 33, 64])
+    def test_batch_similarity_equals_public_loss(self, k, m):
+        params, features, labels = random_setup(40 + k + m, d=8, k=k, c=3,
+                                                batch=m)
+        hyper = Hyperparams(beta=25.0)
+        parts = loss_parts(features, labels, params, hyper)
+        u = affine_hash(features, params)
+        expected = similarity_loss(u, binarize(u), labels, hyper.beta)
+        assert parts.similarity.hex() == expected.hex()
+
+    def test_forward_holds_pair_logits_and_backward_keeps_them(self):
+        params, features, labels = random_setup(35, k=16, batch=32)
+        hyper = Hyperparams()
+        parts = loss_parts(features, labels, params, hyper)
+        fw = parts.forward
+        u = affine_hash(features, params)
+        assert fw.x.tobytes() == (0.5 * (u @ u.T)).tobytes()
+        assert fw.e.tobytes() == np.exp(-np.abs(fw.x)).tobytes()
+        x, e = fw.x.copy(), fw.e.copy()
+        grad_params(parts, params, hyper)
+        assert fw.x.tobytes() == x.tobytes() and fw.e.tobytes() == e.tobytes()

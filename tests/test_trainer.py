@@ -272,6 +272,17 @@ class TestFusedStep:
             assert block.tobytes() == ref_params.blocks()[name].tobytes(), name
         assert trace == ref_trace
 
+    # 800 rows in batches of 32, with K=16 and D=64 as in acceptance training
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 1.0])
+    def test_bitwise_equal_to_two_pass_step_at_acceptance_shape(self, eta):
+        ds = synth_dataset(10, 80, 64, separation=3.0, seed=4)
+        hyper = Hyperparams(eta=eta, beta=25.0, lr=3e-4, code_bits=16,
+                            batch_size=32, epochs=3, seed=4)
+        params, trace = train(ds, TrainConfig(hyper))
+        ref_params, ref_trace = two_pass_train(ds, hyper)
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+        assert trace == ref_trace
+
 
 class TestEncodeDatabase:
     def test_codes_match_forward_composition(self):
