@@ -2,6 +2,7 @@
 
 from .data import (
     Dataset,
+    StreamedDataset,
     load_dataset,
     read_feature_file,
     read_label_file,

@@ -17,6 +17,7 @@ import numpy as np
 from ._files import atomic_open
 from .data import (
     Dataset,
+    StreamedDataset,
     load_dataset,
     parse_run_config,
     read_feature_file,
@@ -182,7 +183,8 @@ def cmd_train(opts: dict[str, str]) -> int:
 
 def cmd_encode(opts: dict[str, str]) -> int:
     cp = load_checkpoint(opts["checkpoint"])
-    dataset = load_dataset(opts["features"], opts["labels"])
+    # the features are read, checked and hashed one block at a time
+    dataset = StreamedDataset(opts["features"], opts["labels"])
     if dataset.feature_dim != cp.params.feature_dim:
         raise DataError(
             f"feature dimension {dataset.feature_dim} does not match "

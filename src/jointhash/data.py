@@ -5,10 +5,13 @@ width u16 (32 or 64), then N*D row-major little-endian IEEE-754 values.
 Label files are plain text with one class index per line; the first line may
 be "classes=C". 32-bit feature values are widened to float64 on load.
 
-Feature files are read BLOCK_ROWS rows at a time through one reused buffer,
-so loading holds the float64 result plus one block of stored values, never
-the whole file as bytes; `train.encode` hashes rows in blocks of the same
-size.
+Feature files are read BLOCK_ROWS rows at a time through one reused buffer
+(`_feature_blocks`), never as the whole file of bytes.
+`read_feature_file` and `load_dataset`, which train, eval, query and sweep
+use, fill the (N, D) float64 matrix from those blocks and hold it.
+`StreamedDataset`, which encode uses, holds one block at a time:
+`train.encode_database` hashes each block before the next is read, in the
+row blocks that `train.encode` uses.
 """
 
 from __future__ import annotations
@@ -28,6 +31,14 @@ FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHIIH")
 # rows per block when features are read from disk or hashed into codes
 BLOCK_ROWS = 8192
+
+
+def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise DataError(
+            f"labels must lie in [0, {num_classes}), "
+            f"got range [{labels.min()}, {labels.max()}]"
+        )
 
 
 @dataclass
@@ -61,12 +72,7 @@ class Dataset:
         if not (np.isfinite(self.features.min(initial=0.0))
                 and np.isfinite(self.features.max(initial=0.0))):
             raise DataError("features contain non-finite values")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise DataError(
-                f"labels must lie in [0, {self.num_classes}), "
-                f"got range [{self.labels.min()}, {self.labels.max()}]"
-            )
+        _check_label_range(self.labels, self.num_classes)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -77,6 +83,37 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
+
+    def blocks(self):
+        """The feature rows in order: in memory, all of them form one block."""
+        return iter((self.features,))
+
+
+class StreamedDataset:
+    """A feature file and its label file, for one pass over the features.
+
+    Construction reads and checks the feature header and the whole label
+    file, as `load_dataset` checks them. The feature values are read only by
+    iterating `blocks()`, once, BLOCK_ROWS rows at a time, so the (N, D)
+    matrix is never held.
+    """
+
+    def __init__(self, feature_path, label_path):
+        self._blocks = _feature_blocks(feature_path)
+        rows, self.feature_dim = next(self._blocks)
+        self.labels, self.num_classes = _read_labels_for(label_path,
+                                                         feature_path, rows)
+        _check_label_range(self.labels, self.num_classes)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def blocks(self):
+        """The float64 feature rows in blocks; each overwrites the last."""
+        if self._blocks is None:
+            raise ValueError("a StreamedDataset's features can be read once")
+        blocks, self._blocks = self._blocks, None
+        return blocks
 
 
 def write_feature_file(path, features: np.ndarray, width: int = 64) -> None:
@@ -91,8 +128,14 @@ def write_feature_file(path, features: np.ndarray, width: int = 64) -> None:
     Path(path).write_bytes(blob + feats.astype(dtype).tobytes())
 
 
-def read_feature_file(path) -> np.ndarray:
-    """(N, D) float64 features, read and checked BLOCK_ROWS rows at a time."""
+def _feature_blocks(path):
+    """Read a feature file block by block, checking it as it goes.
+
+    Yields the header's (N, D) first, then the rows as float64 (rows, D)
+    arrays of BLOCK_ROWS rows (the last one shorter), in file order. Each
+    block is read into one reused buffer of stored values and checked for
+    non-finite values before it is yielded; the next block overwrites it.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_FEATURE_HEADER.size)
@@ -116,27 +159,41 @@ def read_feature_file(path) -> np.ndarray:
                 f"{path}: file length {size} does not match header "
                 f"(expected {expected} bytes)"
             )
-        count = n * d
-        step = BLOCK_ROWS * max(d, 1)
-        feats = np.empty(count)
-        buf = np.empty(min(count, step), dtype="<f4" if width == 32 else "<f8")
-        for start in range(0, count, step):
-            block = buf[:min(step, count - start)]
-            if fh.readinto(block) != block.nbytes:
+        yield n, d
+        rows = min(n, BLOCK_ROWS)
+        buf = np.empty((rows, d), dtype="<f4" if width == 32 else "<f8")
+        widen = buf.dtype != np.float64
+        wide = np.empty((rows, d)) if widen else buf
+        for start in range(0, n, BLOCK_ROWS):
+            stored = buf[:min(BLOCK_ROWS, n - start)]
+            if fh.readinto(stored) != stored.nbytes:
                 raise FormatError(
                     f"{path}: file shrank while being read (short read at "
-                    f"offset {_FEATURE_HEADER.size + start * itemsize})"
+                    f"offset {_FEATURE_HEADER.size + start * d * itemsize})"
                 )
-            out = feats[start:start + block.size]
-            out[...] = block
-            finite = np.isfinite(out)
+            block = wide[:len(stored)]
+            if widen:
+                block[...] = stored
+            finite = np.isfinite(block)
             if not finite.all():
-                bad = start + int(np.argmin(finite))
+                bad = start * d + int(np.argmin(finite))
                 raise DataError(
                     f"{path}: non-finite value at element {bad} "
                     f"(offset {_FEATURE_HEADER.size + bad * itemsize})"
                 )
-    return feats.reshape(n, d)
+            yield block
+
+
+def read_feature_file(path) -> np.ndarray:
+    """(N, D) float64 features, read and checked BLOCK_ROWS rows at a time."""
+    blocks = _feature_blocks(path)
+    n, d = next(blocks)
+    feats = np.empty((n, d))
+    start = 0
+    for block in blocks:
+        feats[start:start + len(block)] = block
+        start += len(block)
+    return feats
 
 
 def write_label_file(path, labels: np.ndarray,
@@ -191,14 +248,21 @@ def read_label_file(path) -> tuple[np.ndarray, int]:
     return labels, declared if declared is not None else int(labels.max()) + 1
 
 
-def load_dataset(feature_path, label_path) -> Dataset:
-    features = read_feature_file(feature_path)
+def _read_labels_for(label_path, feature_path,
+                     rows: int) -> tuple[np.ndarray, int]:
+    """Labels for the `rows` rows of a feature file, plus the class count."""
     labels, num_classes = read_label_file(label_path)
-    if labels.shape[0] != features.shape[0]:
+    if labels.shape[0] != rows:
         raise DataError(
-            f"{feature_path} holds {features.shape[0]} rows but "
+            f"{feature_path} holds {rows} rows but "
             f"{label_path} holds {labels.shape[0]} labels"
         )
+    return labels, num_classes
+
+
+def load_dataset(feature_path, label_path) -> Dataset:
+    features = read_feature_file(feature_path)
+    labels, num_classes = _read_labels_for(label_path, feature_path, len(features))
     return Dataset(features, labels, num_classes)
 
 

@@ -150,11 +150,24 @@ def encode(params: ModelParams,
 
 
 def encode_database(params: ModelParams, dataset) -> CodeTable:
-    """Hash codes and predicted labels for every item, in dataset order."""
-    codes, predicted = encode(params, dataset.features)
+    """Hash codes and predicted labels for every item, in dataset order.
+
+    The dataset is a Dataset or a StreamedDataset, and `encode` hashes each
+    block of rows that `dataset.blocks()` gives. A StreamedDataset's blocks
+    are the BLOCK_ROWS row ranges that `encode` splits an array into, so
+    both give the codes of `encode(params, features)`, bit for bit.
+    """
+    n = len(dataset)
+    codes = np.empty((n, packed_words(params.code_bits)), dtype=np.uint64)
+    predicted = np.empty(n, dtype=np.int64)
+    start = 0
+    for block in dataset.blocks():
+        rows = slice(start, start + len(block))
+        codes[rows], predicted[rows] = encode(params, block)
+        start = rows.stop
     return CodeTable(
         codes=codes,
-        ids=np.arange(len(dataset.labels), dtype=np.int64),
+        ids=np.arange(n, dtype=np.int64),
         labels=dataset.labels,
         predicted=predicted,
         code_bits=params.code_bits,

@@ -7,12 +7,15 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from jointhash.cli import main
 from jointhash.data import (
+    BLOCK_ROWS,
+    load_dataset,
     read_feature_file,
     save_dataset,
     synth_dataset,
@@ -20,11 +23,12 @@ from jointhash.data import (
     write_feature_file,
     write_label_file,
 )
-from jointhash.index import load_code_table, rank_all
+from jointhash.index import load_code_table, rank_all, save_code_table
 from jointhash.objective import Hyperparams
 from jointhash.train import (
     Checkpoint,
     encode,
+    encode_database,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -96,10 +100,10 @@ class TestEncode:
         assert len(table) == 96  # 4 classes * 30 * 0.8
         assert table.code_bits == 8
 
-    def test_peak_memory_is_one_float64_copy(self, tmp_path):
-        # the loader and the encoder work in row blocks, so the traced peak
-        # stays near the float64 feature array the Dataset holds
-        n, d, k = 60_000, 64, 48
+    def test_peak_memory_never_holds_the_feature_matrix(self, tmp_path):
+        # encode reads, hashes and drops one block of rows at a time, so the
+        # traced peak stays well below the (N, D) float64 feature matrix
+        n, d, k = 120_000, 64, 48
         write_feature_file(tmp_path / "db.feat",
                            np.random.default_rng(0).normal(size=(n, d)), width=32)
         write_label_file(tmp_path / "db.labels", np.arange(n) % 10, 10)
@@ -116,7 +120,105 @@ class TestEncode:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 1.6 * n * d * 8
+        assert peak < 0.5 * n * d * 8
+
+
+class TestStreamingEncode:
+    """encode streams the feature file; its table and its errors are those of
+    hashing the whole loaded dataset at once."""
+
+    D, K, C = 3, 48, 3
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        n = 2 * BLOCK_ROWS + 3
+        rng = np.random.default_rng(7)
+        paths = SimpleNamespace(feat=tmp_path / "db.feat",
+                                labels=tmp_path / "db.labels",
+                                cp=tmp_path / "cp.bin", codes=tmp_path / "db.htbl",
+                                n=n)
+        write_feature_file(paths.feat, rng.normal(size=(n, self.D)), width=32)
+        write_label_file(paths.labels, np.arange(n) % self.C, self.C)
+        save_checkpoint(Checkpoint(init_params(self.D, self.K, self.C, seed=3),
+                                   Hyperparams(code_bits=self.K), 0), paths.cp)
+        return paths
+
+    def encode(self, paths):
+        return run("encode", "--checkpoint", paths.cp, "--features", paths.feat,
+                   "--labels", paths.labels, "--codes", paths.codes)
+
+    @pytest.mark.parametrize("width", [32, 64])
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 3])
+    def test_table_bytes_match_in_memory_encode(self, files, tmp_path, n, width):
+        rng = np.random.default_rng([n, width])
+        write_feature_file(files.feat, rng.normal(size=(n, self.D)), width=width)
+        write_label_file(files.labels, rng.integers(0, self.C, n), self.C)
+        assert self.encode(files) == 0
+        params = load_checkpoint(files.cp).params
+        save_code_table(encode_database(params, load_dataset(files.feat,
+                                                             files.labels)),
+                        tmp_path / "ref.htbl")
+        assert files.codes.read_bytes() == (tmp_path / "ref.htbl").read_bytes()
+
+    def assert_error_line(self, files, capsys, line):
+        code = self.encode(files)
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: data: {line}"]
+        assert not files.codes.exists()
+
+    def test_truncated_header(self, files, capsys):
+        files.feat.write_bytes(files.feat.read_bytes()[:10])
+        self.assert_error_line(files, capsys, f"{files.feat}: truncated header "
+                               "(10 bytes, need 16)")
+
+    def test_bad_magic(self, files, capsys):
+        files.feat.write_bytes(b"NOPE" + files.feat.read_bytes()[4:])
+        self.assert_error_line(files, capsys,
+                               f"{files.feat}: bad magic b'NOPE' at offset 0")
+
+    def test_wrong_file_length(self, files, capsys):
+        raw = files.feat.read_bytes()
+        files.feat.write_bytes(raw[:-4])
+        self.assert_error_line(files, capsys, f"{files.feat}: file length "
+                               f"{len(raw) - 4} does not match header "
+                               f"(expected {len(raw)} bytes)")
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_nan_in_second_block(self, files, capsys, width):
+        write_feature_file(files.feat, np.ones((files.n, self.D)), width=width)
+        raw = bytearray(files.feat.read_bytes())
+        element = (BLOCK_ROWS + 2) * self.D + 1
+        offset = 16 + element * width // 8
+        value = np.array([np.nan], "<f4" if width == 32 else "<f8").tobytes()
+        raw[offset:offset + len(value)] = value
+        files.feat.write_bytes(bytes(raw))
+        self.assert_error_line(files, capsys, f"{files.feat}: non-finite value "
+                               f"at element {element} (offset {offset})")
+
+    def test_label_count_differs(self, files, capsys):
+        write_label_file(files.labels, np.arange(files.n - 1) % self.C, self.C)
+        self.assert_error_line(files, capsys, f"{files.feat} holds {files.n} "
+                               f"rows but {files.labels} holds {files.n - 1} "
+                               "labels")
+
+    def test_label_out_of_range(self, files, capsys):
+        lines = files.labels.read_bytes().splitlines()
+        lines[5] = b"7"
+        files.labels.write_bytes(b"\n".join(lines) + b"\n")
+        self.assert_error_line(files, capsys, f"{files.labels}:6: label 7 out "
+                               f"of range for classes={self.C}")
+
+    def test_labels_not_utf8(self, files, capsys):
+        raw = files.labels.read_bytes()
+        files.labels.write_bytes(raw[:20] + b"\xff" + raw[21:])
+        self.assert_error_line(files, capsys,
+                               f"{files.labels}: not UTF-8 text at offset 20")
+
+    def test_width_differs_from_checkpoint(self, files, capsys):
+        write_feature_file(files.feat, np.ones((files.n, self.D + 1)))
+        self.assert_error_line(files, capsys, f"feature dimension {self.D + 1} "
+                               f"does not match checkpoint ({self.D})")
 
 
 class TestQuery:

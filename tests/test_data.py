@@ -7,6 +7,7 @@ from jointhash import data as data_module
 from jointhash.data import (
     BLOCK_ROWS,
     Dataset,
+    StreamedDataset,
     load_dataset,
     parse_run_config,
     read_feature_file,
@@ -200,6 +201,37 @@ class TestLoadDataset:
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.num_classes == ds.num_classes
+
+
+class TestStreamedDataset:
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_blocks_are_the_loaded_rows(self, tmp_path, width):
+        feats = np.random.default_rng(width).normal(size=(2 * BLOCK_ROWS + 3, 4))
+        write_feature_file(tmp_path / "f.feat", feats, width=width)
+        write_label_file(tmp_path / "l.txt", np.arange(len(feats)) % 3, 5)
+        loaded = load_dataset(tmp_path / "f.feat", tmp_path / "l.txt")
+        stream = StreamedDataset(tmp_path / "f.feat", tmp_path / "l.txt")
+        assert (len(stream), stream.feature_dim, stream.num_classes) == (
+            len(loaded), loaded.feature_dim, loaded.num_classes)
+        assert np.array_equal(stream.labels, loaded.labels)
+        blocks = [block.copy() for block in stream.blocks()]
+        assert [len(b) for b in blocks] == [BLOCK_ROWS, BLOCK_ROWS, 3]
+        assert all(b.dtype == np.float64 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), loaded.features)
+
+    def test_labels_checked_before_any_value_is_read(self, tmp_path):
+        write_feature_file(tmp_path / "f.feat", np.full((3, 2), np.nan))
+        write_label_file(tmp_path / "l.txt", [0, 1])
+        with pytest.raises(DataError, match="holds 3 rows but .* holds 2 labels"):
+            StreamedDataset(tmp_path / "f.feat", tmp_path / "l.txt")
+
+    def test_blocks_read_once(self, tmp_path):
+        write_feature_file(tmp_path / "f.feat", np.ones((3, 2)))
+        write_label_file(tmp_path / "l.txt", [0, 1, 0])
+        stream = StreamedDataset(tmp_path / "f.feat", tmp_path / "l.txt")
+        assert sum(len(b) for b in stream.blocks()) == 3
+        with pytest.raises(ValueError, match="once"):
+            stream.blocks()
 
 
 class TestDatasetValidation:
