@@ -34,7 +34,7 @@ features = rng.normal(size=(5, 6))
 labels = rng.integers(0, 3, 5)
 
 errors = gradient_check(features, labels, params,
-                        Hyperparams(eta=0.2, beta=25.0), h=1e-5)
+                        Hyperparams(eta=0.2, beta=25.0))
 print("relative error per gradient block (central differences, h=1e-5):")
 for block, err in errors.items():
     print(f"  {block:<14} {err:.3e}")

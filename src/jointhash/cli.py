@@ -38,29 +38,34 @@ from .train import (
 )
 
 # Every option: flag name -> (metavar, or the tuple of allowed values;
-# default, or None). The parser, the defaults, the flag merge and the check on
-# config-file keys all derive from this table.
+# default, or None; the type its value converts to; what a bad value's error
+# says it expects). The parser, the defaults, the flag merge, the check on
+# config-file keys and every conversion derive from this table.
 _OPTIONS = {
-    "config": ("PATH", None),
-    "features": ("PATH", None),
-    "labels": ("PATH", None),
-    "checkpoint": ("PATH", None),
-    "codes": ("PATH", None),
-    "bits": ("K", "16"),
-    "eta": ("F", "0.2"),
-    "beta": ("F", "25"),
-    "lr": ("F", "3e-4"),
-    "epochs": ("N", "100"),
-    "batch": ("N", "32"),
-    "seed": ("N", "0"),
-    "topk": ("N", "10"),
-    "radius": ("N", None),
-    "database": (("train", "all"), "train"),
-    "out": ("DIR", None),
+    "config": ("PATH", None, str, ""),
+    "features": ("PATH", None, str, ""),
+    "labels": ("PATH", None, str, ""),
+    "checkpoint": ("PATH", None, str, ""),
+    "codes": ("PATH", None, str, ""),
+    "bits": ("K", "16", int, "a positive integer"),
+    "eta": ("F", "0.2", float, "a real in [0,1]"),
+    "beta": ("F", "25", float, "a real >= 0"),
+    "lr": ("F", "3e-4", float, "a positive real"),
+    "epochs": ("N", "100", int, "a nonnegative integer"),
+    "batch": ("N", "32", int, "a positive integer"),
+    "seed": ("N", "0", int, "a nonnegative integer"),
+    "topk": ("N", "10", int, "a positive integer"),
+    "radius": ("N", None, int, "a nonnegative integer"),
+    "database": (("train", "all"), "train", str, ""),
+    "out": ("DIR", None, str, ""),
 }
 _CONFIG_KEYS = frozenset(_OPTIONS) - {"config"}
-_DEFAULTS = {key: default for key, (_, default) in _OPTIONS.items()
-             if default is not None}
+_DEFAULTS = {key: row[1] for key, row in _OPTIONS.items() if row[1] is not None}
+# what a comma-separated sweep grid of each type expects
+_GRID_OF = {int: "integers", float: "reals"}
+# Hyperparams field -> the option that sets it
+_HYPER_OPTIONS = {"eta": "eta", "beta": "beta", "lr": "lr", "code_bits": "bits",
+                  "batch_size": "batch", "epochs": "epochs", "seed": "seed"}
 
 _REQUIRED = {
     "train": ("features", "labels", "out"),
@@ -89,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "train/evaluate over a (bits, eta, beta) grid"),
     ):
         p = sub.add_parser(name, help=helptext)
-        for name, (shape, _) in _OPTIONS.items():
+        for name, (shape, *_) in _OPTIONS.items():
             kind = "choices" if isinstance(shape, tuple) else "metavar"
             p.add_argument(f"--{name}", **{kind: shape})
     return parser
@@ -118,38 +123,28 @@ def _merge_options(args: argparse.Namespace) -> dict[str, str]:
     return merged
 
 
-def _parse(opts: dict[str, str], key: str, conv, what: str):
+def _parse(opts: dict[str, str], key: str):
+    _, _, conv, what = _OPTIONS[key]
     try:
         return conv(opts[key])
     except (ValueError, TypeError):
         raise ConfigError(f"--{key} expects {what}, got {opts[key]!r}") from None
 
 
-def _parse_list(opts: dict[str, str], key: str, conv, what: str) -> list:
+def _parse_list(opts: dict[str, str], key: str) -> list:
+    conv = _OPTIONS[key][2]
     try:
         return [conv(part) for part in opts[key].split(",") if part.strip() != ""]
     except (ValueError, TypeError):
-        raise ConfigError(
-            f"--{key} expects comma-separated {what}, got {opts[key]!r}"
-        ) from None
+        raise ConfigError(f"--{key} expects comma-separated {_GRID_OF[conv]}, "
+                          f"got {opts[key]!r}") from None
 
 
 def _hyper_from(opts: dict[str, str], **overrides) -> Hyperparams:
-    spec = {
-        "eta": ("eta", float, "a real in [0,1]"),
-        "beta": ("beta", float, "a real >= 0"),
-        "lr": ("lr", float, "a positive real"),
-        "code_bits": ("bits", int, "a positive integer"),
-        "batch_size": ("batch", int, "a positive integer"),
-        "epochs": ("epochs", int, "a nonnegative integer"),
-        "seed": ("seed", int, "a nonnegative integer"),
-    }
-    fields = dict(overrides)
-    for name, (key, conv, what) in spec.items():
-        if name not in fields:
-            fields[name] = _parse(opts, key, conv, what)
+    fields = {name: _parse(opts, key) for name, key in _HYPER_OPTIONS.items()
+              if name not in overrides}
     try:
-        return Hyperparams(**fields)
+        return Hyperparams(**fields, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -181,23 +176,27 @@ def cmd_train(opts: dict[str, str]) -> int:
     return 0
 
 
-def cmd_encode(opts: dict[str, str]) -> int:
-    cp = load_checkpoint(opts["checkpoint"])
-    # the features are read, checked and hashed one block at a time
+def _check_width(dim: int, params, what: str) -> None:
+    if dim != params.feature_dim:
+        raise DataError(f"{what} dimension {dim} does not match checkpoint "
+                        f"({params.feature_dim})")
+
+
+def _encode_file(opts: dict[str, str], params, what: str) -> CodeTable:
+    """Codes, predictions and labels of --features/--labels, ids from 0.
+
+    The features are read, checked and hashed one block at a time, after the
+    labels and the width check.
+    """
     dataset = StreamedDataset(opts["features"], opts["labels"])
-    if dataset.feature_dim != cp.params.feature_dim:
-        raise DataError(
-            f"feature dimension {dataset.feature_dim} does not match "
-            f"checkpoint ({cp.params.feature_dim})"
-        )
-    table = encode_database(cp.params, dataset)
-    save_code_table(table, opts["codes"])
-    print(f"encoded {len(table)} items ({table.code_bits} bits) "
-          f"to {opts['codes']}")
-    return 0
+    _check_width(dataset.feature_dim, params, what)
+    return encode_database(params, dataset)
 
 
-def cmd_query(opts: dict[str, str]) -> int:
+def _load_model(opts: dict[str, str],
+                need_rows: bool) -> tuple[Checkpoint, CodeTable]:
+    """The checkpoint and the code table, checked to hold codes of one width;
+    with need_rows, the table must also hold at least one item."""
     cp = load_checkpoint(opts["checkpoint"])
     table = load_code_table(opts["codes"])
     if table.code_bits != cp.params.code_bits:
@@ -205,18 +204,30 @@ def cmd_query(opts: dict[str, str]) -> int:
             f"code table holds {table.code_bits}-bit codes but checkpoint "
             f"emits {cp.params.code_bits}"
         )
+    if need_rows and not len(table):
+        raise DataError(f"{opts['codes']}: code table holds no items")
+    return cp, table
+
+
+def cmd_encode(opts: dict[str, str]) -> int:
+    cp = load_checkpoint(opts["checkpoint"])
+    table = _encode_file(opts, cp.params, "feature")
+    save_code_table(table, opts["codes"])
+    print(f"encoded {len(table)} items ({table.code_bits} bits) "
+          f"to {opts['codes']}")
+    return 0
+
+
+def cmd_query(opts: dict[str, str]) -> int:
+    cp, table = _load_model(opts, need_rows=True)
     queries = read_feature_file(opts["features"])
-    if queries.shape[1] != cp.params.feature_dim:
-        raise DataError(
-            f"query feature dimension {queries.shape[1]} does not match "
-            f"checkpoint ({cp.params.feature_dim})"
-        )
-    topk = _parse(opts, "topk", int, "a positive integer")
+    _check_width(queries.shape[1], cp.params, "query feature")
+    topk = _parse(opts, "topk")
     if not 1 <= topk <= len(table):
         raise ConfigError(f"--topk must lie in [1, {len(table)}], got {topk}")
     radius = None
     if "radius" in opts:
-        radius = _parse(opts, "radius", int, "a nonnegative integer")
+        radius = _parse(opts, "radius")
         if not 0 <= radius <= table.code_bits:
             raise ConfigError(
                 f"--radius must lie in [0, {table.code_bits}], got {radius}"
@@ -236,35 +247,22 @@ def cmd_query(opts: dict[str, str]) -> int:
 
 
 def cmd_eval(opts: dict[str, str]) -> int:
-    cp = load_checkpoint(opts["checkpoint"])
-    table = load_code_table(opts["codes"])
-    if table.code_bits != cp.params.code_bits:
-        raise DataError(
-            f"code table holds {table.code_bits}-bit codes but checkpoint "
-            f"emits {cp.params.code_bits}"
-        )
-    queries = load_dataset(opts["features"], opts["labels"])
-    if queries.feature_dim != cp.params.feature_dim:
-        raise DataError(
-            f"query feature dimension {queries.feature_dim} does not match "
-            f"checkpoint ({cp.params.feature_dim})"
-        )
-    query_codes, query_predicted = encode(cp.params, queries.features)
+    cp, table = _load_model(opts, need_rows=opts["database"] == "train")
+    queries = _encode_file(opts, cp.params, "query feature")
     exclude_ids = None
     if opts["database"] == "all":
         # queries join the database; leave-one-out excludes each from its own list
-        start = int(table.ids.max()) + 1 if len(table) else 0
-        query_ids = np.arange(start, start + len(queries), dtype=np.int64)
+        queries.ids += (int(table.ids.max()) + 1) if len(table) else 0
         table = CodeTable(
-            codes=np.vstack([table.codes, query_codes]),
-            ids=np.concatenate([table.ids, query_ids]),
+            codes=np.vstack([table.codes, queries.codes]),
+            ids=np.concatenate([table.ids, queries.ids]),
             labels=np.concatenate([table.labels, queries.labels]),
-            predicted=np.concatenate([table.predicted, query_predicted]),
+            predicted=np.concatenate([table.predicted, queries.predicted]),
             code_bits=table.code_bits,
         )
-        exclude_ids = query_ids
-    report = evaluate(table, query_codes, queries.labels,
-                      query_predicted=query_predicted, exclude_ids=exclude_ids)
+        exclude_ids = queries.ids
+    report = evaluate(table, queries.codes, queries.labels,
+                      query_predicted=queries.predicted, exclude_ids=exclude_ids)
     out = _outdir(opts)
     write_report_json(report, out / "report.json")
     write_curve_csvs(report, out)
@@ -274,8 +272,7 @@ def cmd_eval(opts: dict[str, str]) -> int:
 
 
 def cmd_gradcheck(opts: dict[str, str]) -> int:
-    seed = _parse(opts, "seed", int, "a nonnegative integer")
-    results = gradient_check_suite(seed=seed)
+    results = gradient_check_suite(seed=_parse(opts, "seed"))
     # np.max, unlike max(), returns a NaN wherever it stands
     worst = float(np.max([r.worst for r in results]))
     for r in results:
@@ -303,13 +300,12 @@ def _run_sweep_point(train_set: Dataset, test_set: Dataset,
 
 def cmd_sweep(opts: dict[str, str]) -> int:
     dataset = load_dataset(opts["features"], opts["labels"])
-    bits_grid = _parse_list(opts, "bits", int, "integers")
-    eta_grid = _parse_list(opts, "eta", float, "reals")
-    beta_grid = _parse_list(opts, "beta", float, "reals")
+    bits_grid = _parse_list(opts, "bits")
+    eta_grid = _parse_list(opts, "eta")
+    beta_grid = _parse_list(opts, "beta")
     if not bits_grid or not eta_grid or not beta_grid:
         raise ConfigError("sweep grids must be nonempty")
-    seed = _parse(opts, "seed", int, "a nonnegative integer")
-    train_set, test_set = train_test_split(dataset, 0.2, seed)
+    train_set, test_set = train_test_split(dataset, 0.2, _parse(opts, "seed"))
     out = _outdir(opts)
     rows = []
     for bits in bits_grid:
@@ -346,10 +342,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, DataError) as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, DataError, OSError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -7,9 +7,9 @@ be "classes=C". 32-bit feature values are widened to float64 on load.
 
 Feature files are read BLOCK_ROWS rows at a time through one reused buffer
 (`_feature_blocks`), never as the whole file of bytes.
-`read_feature_file` and `load_dataset`, which train, eval, query and sweep
-use, fill the (N, D) float64 matrix from those blocks and hold it.
-`StreamedDataset`, which encode uses, holds one block at a time:
+`read_feature_file` and `load_dataset`, which train, query and sweep use,
+fill the (N, D) float64 matrix from those blocks and hold it.
+`StreamedDataset`, which encode and eval use, holds one block at a time:
 `train.encode_database` hashes each block before the next is read, in the
 row blocks that `train.encode` uses.
 """

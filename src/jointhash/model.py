@@ -103,6 +103,8 @@ class ModelParams(_FlatBlocks):
             raise DimensionError("weight blocks must be 2-D")
         k, _ = self.hash_weights.shape
         c, k2 = self.cls_weights.shape
+        if c == 0:
+            raise DimensionError("classifier has no classes")
         if self.hash_bias.shape != (k,):
             raise DimensionError(
                 f"hash bias has shape {self.hash_bias.shape}, expected ({k},)"

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NumericError
+from .index import U32_MAX
 from .model import (
     ModelParams,
     _exp_neg_abs,
@@ -64,6 +65,10 @@ class Hyperparams:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        for name in ("code_bits", "batch_size", "epochs"):  # u32 in a checkpoint
+            if getattr(self, name) > U32_MAX:
+                raise ValueError(f"{name} must be <= {U32_MAX}, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(eq=False)
@@ -75,9 +80,6 @@ class GradientSet(_FlatBlocks):
     hash_bias: np.ndarray
     cls_weights: np.ndarray
     cls_bias: np.ndarray
-
-    def param_blocks(self) -> dict[str, np.ndarray]:
-        return self.blocks()
 
 
 # one batch's forward pass: features, class indices, u, codes, class scores,
@@ -109,17 +111,9 @@ def softplus(x):
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row indices (i, j) of every pair i < j among m rows."""
-    i, j = np.triu_indices(m, k=1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-@functools.lru_cache(maxsize=16)
 def _pair_positions(m: int) -> np.ndarray:
     """Read-only flat positions i * m + j of the pairs i < j in an m x m array."""
-    i, j = _pair_indices(m)
+    i, j = np.triu_indices(m, k=1)
     k = i * m + j
     k.flags.writeable = False
     return k
@@ -269,12 +263,6 @@ def _du(fw: _Forward, params: ModelParams,
     return du, grads
 
 
-def grad_u(features: np.ndarray, labels: np.ndarray, params: ModelParams,
-           hyper: Hyperparams, codes: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the joint loss with respect to each hash-like feature."""
-    return _du(_forward(features, labels, params, codes), params, hyper)[0]
-
-
 def grad_params(parts: LossParts, params: ModelParams,
                 hyper: Hyperparams) -> GradientSet:
     """Backward pass over parts' batch, at the params loss_parts ran with."""
@@ -312,8 +300,9 @@ def finite_diff_check(fn, x: np.ndarray, analytic: np.ndarray,
 
 
 def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams,
-                   hyper: Hyperparams, h: float = 1e-5) -> dict[str, float]:
-    """Check every analytic gradient block against central differences.
+                   hyper: Hyperparams) -> dict[str, float]:
+    """Check every analytic gradient block against central differences
+    (finite_diff_check's default step).
 
     Covers the four parameter blocks, the per-sample feature gradient, and
     the hash-like gradient (the loss differentiated directly in u). The sign
@@ -330,21 +319,19 @@ def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams
         return ModelParams(**blocks)
 
     errors = {}
-    for name, analytic in grads.param_blocks().items():
+    for name, analytic in grads.blocks().items():
         def fn(flat, _name=name):
             return total_loss(f0, y, with_block(_name, flat), hyper, codes=codes)
 
-        errors[name] = finite_diff_check(
-            fn, params.blocks()[name].ravel(), analytic, h
-        )
+        errors[name] = finite_diff_check(fn, params.blocks()[name].ravel(),
+                                         analytic)
 
     def fn_features(flat):
         return total_loss(flat.reshape(f0.shape), y, params, hyper, codes=codes)
 
     # dJ/df_i, the gradient an upstream feature extractor would receive
-    errors["features"] = finite_diff_check(
-        fn_features, f0.ravel(), du @ params.hash_weights, h
-    )
+    errors["features"] = finite_diff_check(fn_features, f0.ravel(),
+                                           du @ params.hash_weights)
 
     def fn_u(flat):
         u = flat.reshape(u0.shape)
@@ -352,7 +339,7 @@ def gradient_check(features: np.ndarray, labels: np.ndarray, params: ModelParams
         lab = label_loss(class_scores(u, params), y)
         return hyper.eta * sim + (1.0 - hyper.eta) * lab
 
-    errors["hash_like"] = finite_diff_check(fn_u, u0.ravel(), du, h)
+    errors["hash_like"] = finite_diff_check(fn_u, u0.ravel(), du)
     return errors
 
 
@@ -382,8 +369,7 @@ class GradCheckResult:
         return self.errors[self.worst_block]
 
 
-def gradient_check_suite(seed: int = 0, count: int = 20,
-                         h: float = 1e-5) -> list[GradCheckResult]:
+def gradient_check_suite(seed: int = 0, count: int = 20) -> list[GradCheckResult]:
     """Finite-difference verification over random small configurations.
 
     Cycles eta through {0, 0.2, 1} and beta through {0, 25} while drawing
@@ -408,6 +394,6 @@ def gradient_check_suite(seed: int = 0, count: int = 20,
         )
         features = rng.normal(0.0, 1.0, (batch, d))
         labels = rng.integers(0, c, batch)
-        errors = gradient_check(features, labels, params, hyper, h=h)
+        errors = gradient_check(features, labels, params, hyper)
         results.append(GradCheckResult(index=i, hyper=hyper, errors=errors))
     return results

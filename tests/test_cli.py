@@ -23,7 +23,7 @@ from jointhash.data import (
     write_feature_file,
     write_label_file,
 )
-from jointhash.index import load_code_table, rank_all, save_code_table
+from jointhash.index import CodeTable, load_code_table, rank_all, save_code_table
 from jointhash.objective import Hyperparams
 from jointhash.train import (
     Checkpoint,
@@ -411,6 +411,59 @@ class TestCorruptInputs:
         code = self.run_eval(corpus, trained, tmp_path, labels=bad)
         self.assert_data_error(code, capsys, bad)
 
+    @pytest.mark.parametrize("command", ["encode", "query", "eval"])
+    def test_checkpoint_without_classes(self, corpus, trained, tmp_path, capsys,
+                                        command):
+        # a consistent DHCN file with C = 0: header, K*D + K weights, the
+        # hyperparameter block and the epoch
+        d, k = 16, 8
+        bad = tmp_path / "c0.bin"
+        bad.write_bytes(struct.pack("<4sHIII", b"DHCN", 1, d, k, 0)
+                        + np.zeros(k * d + k).tobytes()
+                        + struct.pack("<dddIIQI", 0.2, 25.0, 3e-4, 32, 1, 0, 1))
+        argv = {"encode": ("--labels", corpus / "query" / "labels.txt",
+                           "--codes", tmp_path / "db.htbl"),
+                "query": ("--codes", trained / "db.htbl"),
+                "eval": ("--codes", trained / "db.htbl", "--labels",
+                         corpus / "query" / "labels.txt", "--out", tmp_path)}
+        code = run(command, "--checkpoint", bad, "--features",
+                   corpus / "query" / "features.feat", *argv[command])
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert line == f"error: data: {bad}: classifier has no classes"
+
+    @pytest.fixture
+    def empty_table(self, tmp_path):
+        path = tmp_path / "empty.htbl"
+        save_code_table(CodeTable(np.zeros((0, 1), np.uint64), [], [], [],
+                                  code_bits=8), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_empty_code_table(self, corpus, trained, tmp_path, capsys,
+                              empty_table, command):
+        argv = ("--labels", corpus / "query" / "labels.txt", "--database",
+                "train", "--out", tmp_path / "out") if command == "eval" else ()
+        code = run(command, "--checkpoint", trained / "checkpoint.bin",
+                   "--codes", empty_table,
+                   "--features", corpus / "query" / "features.feat", *argv)
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert line == f"error: data: {empty_table}: code table holds no items"
+
+    def test_empty_code_table_all_mode(self, corpus, trained, tmp_path,
+                                       empty_table):
+        # the queries alone form the database, each left out of its own list
+        assert run("eval", "--checkpoint", trained / "checkpoint.bin",
+                   "--codes", empty_table,
+                   "--features", corpus / "query" / "features.feat",
+                   "--labels", corpus / "query" / "labels.txt",
+                   "--database", "all", "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["num_queries"] == 24
+        assert doc["precision_at"].get("23") is not None
+        assert doc["precision_at"].get("24") is None
+
     @pytest.mark.parametrize("label", [b"5000000000", b"99999999999999999999"])
     def test_label_above_u32_one_line(self, corpus, trained, tmp_path, capsys,
                                       label):
@@ -431,6 +484,73 @@ class TestCorruptInputs:
         [line] = err.splitlines()
         assert line.startswith(f"error: data: {bad}:4: label ")
         assert not (tmp_path / "db.htbl").exists()
+
+
+_QUERY = ("query", "--checkpoint", "{cp}", "--codes", "{codes}",
+          "--features", "{feat}")
+_EVAL = ("eval", "--checkpoint", "{cp}", "--codes", "{codes}",
+         "--features", "{feat}", "--labels", "{labels}", "--out", "{out}")
+_SWEEP = ("sweep", "--features", "{train_feat}", "--labels", "{train_labels}",
+          "--epochs", "1", "--out", "{out}")
+_CODE_WIDTH = "data: code table holds 16-bit codes but checkpoint emits 8"
+_FEATURE_WIDTH = "data: query feature dimension 17 does not match checkpoint (16)"
+
+
+class TestErrorLines:
+    """Each single fault gives its exit code and exactly one stderr line."""
+
+    @pytest.fixture
+    def files(self, corpus, trained, tmp_path):
+        write_feature_file(tmp_path / "wide.feat", np.ones((3, 17)))
+        write_label_file(tmp_path / "wide.txt", [0, 1, 2], 4)
+        save_code_table(CodeTable(np.zeros((2, 1), np.uint64), np.arange(2),
+                                  np.zeros(2), np.zeros(2), code_bits=16),
+                        tmp_path / "wide.htbl")
+        (tmp_path / "both.cfg").write_text("database=both\n")
+        return {"cp": trained / "checkpoint.bin", "codes": trained / "db.htbl",
+                "feat": corpus / "query" / "features.feat",
+                "labels": corpus / "query" / "labels.txt",
+                "train_feat": corpus / "train" / "features.feat",
+                "train_labels": corpus / "train" / "labels.txt",
+                "wide_feat": tmp_path / "wide.feat",
+                "wide_labels": tmp_path / "wide.txt",
+                "wide_codes": tmp_path / "wide.htbl",
+                "cfg": tmp_path / "both.cfg", "out": tmp_path / "out"}
+
+    @pytest.mark.parametrize("argv, code, line", [
+        pytest.param(("train", "--features", "{train_feat}", "--labels",
+                      "{train_labels}", "--bits", "x", "--out", "{out}"), 2,
+                     "config: --bits expects a positive integer, got 'x'",
+                     id="bits"),
+        pytest.param((*_QUERY, "--topk", "x"), 2,
+                     "config: --topk expects a positive integer, got 'x'",
+                     id="topk"),
+        pytest.param(("gradcheck", "--seed", "x"), 2,
+                     "config: --seed expects a nonnegative integer, got 'x'",
+                     id="gradcheck-seed"),
+        pytest.param((*_SWEEP, "--eta", "a,b"), 2,
+                     "config: --eta expects comma-separated reals, got 'a,b'",
+                     id="sweep-eta"),
+        pytest.param((*_SWEEP, "--bits", ","), 2,
+                     "config: sweep grids must be nonempty", id="sweep-bits"),
+        pytest.param((*_EVAL, "--config", "{cfg}"), 2,
+                     "config: --database must be 'train' or 'all', got 'both'",
+                     id="config-database"),
+        pytest.param((*_QUERY, "--radius", "9"), 2,
+                     "config: --radius must lie in [0, 8], got 9", id="radius"),
+        pytest.param((*_QUERY, "--codes", "{wide_codes}"), 3, _CODE_WIDTH,
+                     id="query-code-width"),
+        pytest.param((*_EVAL, "--codes", "{wide_codes}"), 3, _CODE_WIDTH,
+                     id="eval-code-width"),
+        pytest.param((*_QUERY, "--features", "{wide_feat}"), 3, _FEATURE_WIDTH,
+                     id="query-feature-width"),
+        pytest.param((*_EVAL, "--features", "{wide_feat}", "--labels",
+                      "{wide_labels}"), 3, _FEATURE_WIDTH,
+                     id="eval-feature-width"),
+    ])
+    def test_exit_code_and_line(self, files, capsys, argv, code, line):
+        assert run(*(arg.format(**files) for arg in argv)) == code
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
 
 
 class TestGradcheck:
@@ -526,6 +646,20 @@ class TestConfigHandling:
                    "--labels", corpus / "train" / "labels.txt",
                    "--eta", "2.0", "--out", tmp_path) == 2
         assert "eta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [("bits", "code_bits"),
+                                             ("batch", "batch_size"),
+                                             ("epochs", "epochs")])
+    def test_u32_checkpoint_field_exit_2(self, corpus, tmp_path, capsys, flag,
+                                         field):
+        # the checkpoint stores these as u32: rejected before training
+        assert run("train", "--features", corpus / "train" / "features.feat",
+                   "--labels", corpus / "train" / "labels.txt",
+                   f"--{flag}", "5000000000", "--out", tmp_path) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"error: config: {field} must be <= 4294967295, "
+                        "got 5000000000")
+        assert not (tmp_path / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize("flag, value", [("lr", "nan"), ("lr", "inf"),
                                              ("beta", "nan"), ("beta", "inf")])

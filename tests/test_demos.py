@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", ["retrieval_pipeline.py",
                                   "hamming_index_basics.py",
-                                  "gradient_verification.py"])
+                                  "gradient_verification.py",
+                                  "hyperparameter_study.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

@@ -319,6 +319,11 @@ class TestNonFiniteParams:
             ModelParams(**blocks)
 
 
+def test_classifier_without_classes_rejected():
+    with pytest.raises(DimensionError, match="no classes"):
+        ModelParams(np.zeros((2, 3)), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+
+
 @pytest.mark.parametrize("make", [make_params, make_grads],
                          ids=["ModelParams", "GradientSet"])
 class TestEquality:

@@ -11,7 +11,6 @@ from jointhash.objective import (
     Hyperparams,
     finite_diff_check,
     grad_params,
-    grad_u,
     gradient_check,
     gradient_check_suite,
     label_loss,
@@ -45,6 +44,7 @@ class TestHyperparams:
         dict(code_bits=0), dict(batch_size=0), dict(epochs=-1),
         dict(lr=float("nan")), dict(lr=float("inf")),
         dict(beta=float("nan")), dict(beta=float("inf")),
+        dict(code_bits=2**32), dict(batch_size=2**32), dict(epochs=2**32),
     ])
     def test_invalid_values(self, bad):
         with pytest.raises(ValueError):
@@ -261,15 +261,17 @@ class TestGradCheckResult:
 
 
 class TestGradients:
-    def test_eta_zero_grad_u_is_classifier_pullback(self):
+    def test_eta_zero_hash_grads_are_classifier_pullback(self):
+        # dJ/du is the classifier's pullback; the hash layer maps it back
         params, features, labels = random_setup(9)
         hyper = Hyperparams(eta=0.0)
         u = affine_hash(features, params)
         t = class_scores(u, params)
         m = len(labels)
-        expected = (t - np.eye(params.num_classes)[labels]) @ params.cls_weights / m
-        assert np.max(np.abs(grad_u(features, labels, params, hyper)
-                             - expected)) < 1e-14
+        du = (t - np.eye(params.num_classes)[labels]) @ params.cls_weights / m
+        g = grad_params(loss_parts(features, labels, params, hyper), params, hyper)
+        assert np.max(np.abs(g.hash_bias - du.sum(axis=0))) < 1e-14
+        assert np.max(np.abs(g.hash_weights - du.T @ features)) < 1e-14
 
     def test_single_sample_cls_grad(self):
         params, features, labels = random_setup(10, batch=1)
@@ -306,9 +308,12 @@ class TestGradients:
         from jointhash.model import logistic
 
         psi = 0.5 * float(u[0] @ u[1])
+        # both rows have dJ/du = expected_row, and W = I passes it through
         expected_row = 0.5 * (logistic(psi) - 1.0) * u[1]
-        got = grad_u(features, labels, params, hyper)
-        assert np.max(np.abs(got[0] - expected_row)) < 1e-14
+        g = grad_params(loss_parts(features, labels, params, hyper), params, hyper)
+        assert np.max(np.abs(g.hash_bias - 2.0 * expected_row)) < 1e-14
+        assert np.max(np.abs(g.hash_weights
+                             - 2.0 * np.outer(expected_row, features[0]))) < 1e-14
 
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_difference_random_configs(self, seed):
@@ -406,15 +411,6 @@ class TestFusedStep:
         assert repr(a) == (f"LossParts(total={a.total!r}, "
                            f"similarity={a.similarity!r}, label={a.label!r})")
 
-    def test_gradients_match_separate_forward(self):
-        params, features, labels = random_setup(32)
-        hyper = Hyperparams(eta=0.2)
-        g = grad_params(loss_parts(features, labels, params, hyper), params, hyper)
-        u = affine_hash(features, params)
-        du = grad_u(features, labels, params, hyper, codes=binarize(u))
-        assert np.array_equal(g.hash_bias, du.sum(axis=0))
-        assert np.array_equal(g.hash_weights, du.T @ features)
-
     @pytest.mark.parametrize("name", ["hash_weights", "hash_bias",
                                       "cls_weights", "cls_bias"])
     def test_non_finite_gradient_names_block(self, name, monkeypatch):
@@ -429,14 +425,16 @@ class TestFusedStep:
         with pytest.raises(NumericError, match=f"gradient in block '{name}'"):
             grad_params(parts, params, hyper)
 
-    def test_pair_indices_cached_read_only(self):
-        from jointhash.objective import _pair_indices
+    def test_pair_positions_cached_read_only(self):
+        from jointhash.objective import _pair_positions
 
-        i, j = _pair_indices(6)
-        assert _pair_indices(6)[0] is i
-        assert not i.flags.writeable and not j.flags.writeable
+        k = _pair_positions(6)
+        assert _pair_positions(6) is k
+        i, j = np.triu_indices(6, k=1)
+        assert np.array_equal(k, i * 6 + j)
+        assert not k.flags.writeable
         with pytest.raises(ValueError):
-            i[0] = 5
+            k[0] = 5
 
     def test_gradient_check_one_backward_pass(self, monkeypatch):
         import jointhash.objective as objective
