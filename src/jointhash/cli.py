@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -237,16 +238,27 @@ def cmd_query(opts: dict[str, str]) -> int:
                 f"--radius must lie in [0, {table.code_bits}], got {radius}"
             )
     codes, _ = encode(cp.params, queries)
-    writer = csv.writer(sys.stdout)
-    for q in range(codes.shape[0]):
-        ranking = rank_all(codes[q], table, topk)
-        for rank in range(len(ranking)):
-            if radius is not None and ranking.distances[rank] > radius:
-                break
-            writer.writerow([rank + 1, int(ranking.ids[rank]),
-                             int(ranking.distances[rank]),
-                             int(ranking.labels[rank]),
-                             int(ranking.predicted[rank])])
+    # queries with equal codes print the same rows: each distinct code is
+    # ranked once, and its rows are kept until its last query
+    distinct, code_of = np.unique(codes, axis=0, return_inverse=True)
+    code_of = code_of.tolist()
+    last_query = {c: q for q, c in enumerate(code_of)}
+    rows = {}
+    for q, c in enumerate(code_of):
+        if c not in rows:
+            ranking = rank_all(distinct[c], table, topk)
+            shown = len(ranking)
+            if radius is not None:
+                shown = int(np.searchsorted(ranking.distances, radius,
+                                            side="right"))
+            text = io.StringIO()
+            csv.writer(text).writerows(zip(
+                range(1, shown + 1), ranking.ids[:shown].tolist(),
+                ranking.distances[:shown].tolist(),
+                ranking.labels[:shown].tolist(),
+                ranking.predicted[:shown].tolist()))
+            rows[c] = text.getvalue()
+        sys.stdout.write(rows.pop(c) if last_query[c] == q else rows[c])
     return 0
 
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from ._files import atomic_open
 from .errors import DimensionError
-from .index import CodeTable, rank_all
+from .index import CodeTable, hamming_distance, rank_all
 
 
 @dataclass
@@ -90,20 +90,16 @@ class PRCurve:
     vacuous: np.ndarray  # True where the radius set was empty
 
 
-def _pr_by_radius(distances: np.ndarray, hit_ranks: np.ndarray,
-                  code_bits: int) -> PRCurve:
-    # the radius-t set is a prefix of the ranking: its size is the number of
-    # sorted distances <= t, its hits the number of hit ranks below that size
-    # radii in the distances' own dtype, so searchsorted does not widen them
-    radii = np.arange(code_bits + 1, dtype=distances.dtype)
-    counts = np.searchsorted(distances, radii, side="right")
+def _pr_by_radius(counts: np.ndarray, hit_ranks: np.ndarray) -> PRCurve:
+    # the radius-t set is a prefix of the ranking: counts[t] is its size, its
+    # hits the number of hit ranks below that size
     hits = np.searchsorted(hit_ranks, counts)
     vacuous = counts == 0
     precision = np.where(vacuous, 1.0, hits / np.maximum(counts, 1))
     if hit_ranks.size > 0:
         recall = hits / hit_ranks.size
     else:
-        recall = np.zeros(code_bits + 1)
+        recall = np.zeros(counts.size)
     return PRCurve(precision=precision, recall=recall, vacuous=vacuous)
 
 
@@ -128,21 +124,54 @@ def _hits_prefix(hit_ranks: np.ndarray, depth: int) -> np.ndarray:
                      run_lengths)
 
 
-def _query_pass(query_code: np.ndarray, table: CodeTable, query_label,
-                exclude_row: int | None) -> tuple[np.ndarray, PRCurve]:
-    """Rank the table for one query, without exclude_row.
+@dataclass
+class _CodeRanking:
+    """What the queries sharing one code keep of its full ranking.
 
-    Returns the ranks of the relevant items and the precision/recall curve
-    by radius.
+    counts[t] is the number of rows within radius t, hit_ranks maps each query
+    label key to the ranks of the rows with that label, and excluded maps
+    each row a query leaves out to its rank and distance.
     """
+
+    counts: np.ndarray
+    hit_ranks: dict
+    excluded: dict
+
+
+def _rank_code(query_code: np.ndarray, table: CodeTable, labels: dict,
+               exclude_rows: list) -> _CodeRanking:
+    """Rank the table once for a code; labels maps each key to a label."""
     ranking = rank_all(query_code, table)
-    order, distances = ranking.order, ranking.distances
+    # radii in the distances' own dtype, so searchsorted does not widen them
+    radii = np.arange(table.code_bits + 1, dtype=ranking.distances.dtype)
+    counts = np.searchsorted(ranking.distances, radii, side="right")
+    hit_ranks = {key: np.flatnonzero(ranking.labels == label)
+                 for key, label in labels.items()}
+    excluded = {}
+    for row in exclude_rows:
+        # ties keep table order, so the row sits in the ranking's block of
+        # rows at its distance, which run in ascending table order
+        distance = hamming_distance(query_code, table.codes[row])
+        first = int(counts[distance - 1]) if distance else 0
+        block = ranking.order[first:counts[distance]]
+        excluded[row] = first + int(np.searchsorted(block, row)), distance
+    return _CodeRanking(counts, hit_ranks, excluded)
+
+
+def _query_pass(code: _CodeRanking, key,
+                exclude_row: int | None) -> tuple[np.ndarray, PRCurve]:
+    """The hit ranks and precision/recall curve of one query with this code
+    and label key, as if exclude_row had been left out of the table."""
+    hit_ranks, counts = code.hit_ranks[key], code.counts
     if exclude_row is not None:
-        at = np.flatnonzero(order == exclude_row)[0]
-        order = np.delete(order, at)
-        distances = np.delete(distances, at)
-    hit_ranks = np.flatnonzero((table.labels == query_label)[order])
-    return hit_ranks, _pr_by_radius(distances, hit_ranks, table.code_bits)
+        # drop the row's rank if it is a hit, move later hits up by one, and
+        # take the row out of every radius that holds it
+        rank, distance = code.excluded[exclude_row]
+        at = int(np.searchsorted(hit_ranks, rank))
+        later = at + int(at < hit_ranks.size and hit_ranks[at] == rank)
+        hit_ranks = np.concatenate([hit_ranks[:at], hit_ranks[later:] - 1])
+        counts = counts - (np.arange(counts.size) >= distance)
+    return hit_ranks, _pr_by_radius(counts, hit_ranks)
 
 
 def precision_recall_curve(query_code: np.ndarray, table: CodeTable,
@@ -150,7 +179,8 @@ def precision_recall_curve(query_code: np.ndarray, table: CodeTable,
     """Precision/recall per Hamming radius for one query against the table."""
     if len(table) == 0:
         raise ValueError("precision-recall curve needs a nonempty table")
-    return _query_pass(query_code, table, query_label, None)[1]
+    code = _rank_code(query_code, table, {0: query_label}, [])
+    return _query_pass(code, 0, None)[1]
 
 
 def overall_accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
@@ -187,6 +217,12 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     exclude_ids, when given, holds one table id per query, each naming exactly
     one row, which is left out of that query's ranking (leave-one-out for
     queries that live in the database).
+
+    Queries with equal codes share one full ranking of the table: each
+    distinct code is ranked once, and what its queries need of the ranking is
+    kept until its last query. Leave-one-out is applied to that shared
+    ranking per query, and every sum accumulates in query order, so the
+    report's bytes are those of ranking each query on its own.
     """
     query_codes = np.atleast_2d(np.asarray(query_codes, dtype=np.uint64))
     query_labels = np.asarray(query_labels)
@@ -203,13 +239,27 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
                                  f"expected one entry per query ({nq})")
     exclude_rows = None
     if exclude_ids is not None:
-        exclude_rows = _table_rows(table, np.asarray(exclude_ids))
+        exclude_rows = _table_rows(table, np.asarray(exclude_ids)).tolist()
     depth = len(table) - (0 if exclude_ids is None else 1)
     ks = np.arange(1, depth + 1)
     # float64 operands divide exactly as the integer counts would, and the
     # quotients go through one reused buffer
     k_float = ks.astype(np.float64)
     quotient = np.empty(ks.size)
+
+    codes, code_of = np.unique(query_codes, axis=0, return_inverse=True)
+    labels, label_of = np.unique(query_labels, return_inverse=True)
+    code_of, label_of = code_of.tolist(), label_of.tolist()
+    # each code's last query, and the labels and left-out rows of its queries
+    last_query = {}
+    code_labels = [{} for _ in range(len(codes))]
+    code_excludes = [[] for _ in range(len(codes))]
+    for q, (c, key) in enumerate(zip(code_of, label_of)):
+        last_query[c] = q
+        code_labels[c][key] = labels[key]
+        if exclude_rows is not None:
+            code_excludes[c].append(exclude_rows[q])
+    ranked = {}
 
     aps = np.empty(nq)
     prec_sum = np.zeros(ks.size)
@@ -219,10 +269,13 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     vacuous_counts = np.zeros(table.code_bits + 1, dtype=np.int64)
     zero_relevant = 0
 
-    for q in range(nq):
+    for q, (c, key) in enumerate(zip(code_of, label_of)):
+        if c not in ranked:
+            ranked[c] = _rank_code(codes[c], table, code_labels[c],
+                                   code_excludes[c])
+        code = ranked.pop(c) if last_query[c] == q else ranked[c]
         hit_ranks, curve = _query_pass(
-            query_codes[q], table, query_labels[q],
-            None if exclude_rows is None else exclude_rows[q])
+            code, key, None if exclude_rows is None else exclude_rows[q])
         total_relevant = hit_ranks.size
         if total_relevant == 0:
             zero_relevant += 1
@@ -258,12 +311,14 @@ _CHUNK_ROWS = 8192
 
 
 def _write_rows(fh, row_format: str, separator: str, columns) -> None:
-    """Write row_format for each row of the columns, joined by separator."""
+    """Write the %-format row_format for each row of the columns, joined by
+    separator; each chunk is formatted by one template."""
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
+        chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
         if start:
             fh.write(separator)
-        fh.write(separator.join(starmap(row_format.format, rows)))
+        template = separator.join([row_format] * len(chunk[0]))
+        fh.write(template % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def write_report_json(report: EvalReport, path) -> None:
@@ -292,7 +347,7 @@ def write_report_json(report: EvalReport, path) -> None:
                 fh.write(f'  "{name}": {{}},\n')
                 continue
             fh.write(f'  "{name}": {{\n')
-            _write_rows(fh, '    "{}": {!r}', ",\n",
+            _write_rows(fh, '    "%d": %r', ",\n",
                         (report.ks, values))
             fh.write("\n  },\n")
         fh.write(tail[2:] + "\n")  # drop the opening "{\n"
@@ -303,10 +358,10 @@ def write_curve_csvs(report: EvalReport, out_dir) -> None:
     out_dir = Path(out_dir)
     with atomic_open(out_dir / "curve_topk.csv", "w", newline="") as fh:
         fh.write("k,precision,recall\r\n")
-        _write_rows(fh, "{},{:.10f},{:.10f}\r\n", "",
+        _write_rows(fh, "%d,%.10f,%.10f\r\n", "",
                     (report.ks, report.precision_at, report.recall_at))
     with atomic_open(out_dir / "curve_radius.csv", "w", newline="") as fh:
         fh.write("radius,precision,recall,vacuous_queries\r\n")
-        _write_rows(fh, "{},{:.10f},{:.10f},{}\r\n", "",
+        _write_rows(fh, "%d,%.10f,%.10f,%d\r\n", "",
                     (np.arange(report.pr_precision.size), report.pr_precision,
                      report.pr_recall, report.vacuous_radius_counts))

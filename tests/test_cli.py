@@ -221,6 +221,20 @@ class TestStreamingEncode:
                                f"does not match checkpoint ({self.D})")
 
 
+def full_ranking_rows(codes, table, topk, radius):
+    """Oracle: query's CSV rows from each query's own full ranking."""
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    for q in range(len(codes)):
+        full = rank_all(codes[q], table)
+        for rank in range(topk):
+            if radius is not None and full.distances[rank] > radius:
+                break
+            writer.writerow([rank + 1, full.ids[rank], full.distances[rank],
+                             full.labels[rank], full.predicted[rank]])
+    return expected.getvalue()
+
+
 class TestQuery:
     def test_exact_row_contract(self, corpus, trained, capsys):
         code = run("query", "--checkpoint", trained / "checkpoint.bin",
@@ -269,15 +283,6 @@ class TestQuery:
         codes, _ = encode(load_checkpoint(tmp_path / "checkpoint.bin").params,
                           read_feature_file(corpus / "query" / "features.feat"))
         for topk, radius in ((7, None), (30, None), (96, None), (30, bits // 4)):
-            expected = io.StringIO()
-            writer = csv.writer(expected)
-            for q in range(len(codes)):
-                full = rank_all(codes[q], table)
-                for rank in range(topk):
-                    if radius is not None and full.distances[rank] > radius:
-                        break
-                    writer.writerow([rank + 1, full.ids[rank], full.distances[rank],
-                                     full.labels[rank], full.predicted[rank]])
             argv = ["query", "--checkpoint", tmp_path / "checkpoint.bin",
                     "--codes", tmp_path / "db.htbl",
                     "--features", corpus / "query" / "features.feat",
@@ -285,7 +290,39 @@ class TestQuery:
             if radius is not None:
                 argv += ["--radius", radius]
             assert run(*argv) == 0
-            assert capsys.readouterr().out == expected.getvalue()
+            assert capsys.readouterr().out == full_ranking_rows(
+                codes, table, topk, radius)
+
+    @pytest.mark.parametrize("with_radius", [False, True])
+    def test_repeated_codes_ranked_once(self, corpus, trained, tmp_path,
+                                        capsys, monkeypatch, with_radius):
+        # duplicated feature rows give equal codes, interleaved in query order
+        features = read_feature_file(corpus / "query" / "features.feat")
+        features = features[[0, 1, 0, 2, 1, 0, *range(len(features)), 2]]
+        write_feature_file(tmp_path / "repeated.feat", features, width=64)
+        table = load_code_table(trained / "db.htbl")
+        codes, _ = encode(load_checkpoint(trained / "checkpoint.bin").params,
+                          features)
+        radius = None
+        if with_radius:
+            # a distance that rows in the first query's top 12 reach exactly
+            radius = int(rank_all(codes[0], table).distances[5])
+        expected = full_ranking_rows(codes, table, 12, radius)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rank_all(*args, **kwargs)
+
+        monkeypatch.setattr("jointhash.cli.rank_all", counted)
+        argv = ["query", "--checkpoint", trained / "checkpoint.bin",
+                "--codes", trained / "db.htbl",
+                "--features", tmp_path / "repeated.feat", "--topk", 12]
+        if radius is not None:
+            argv += ["--radius", radius]
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == expected
+        assert len(calls) == len(np.unique(codes, axis=0)) < len(codes)
 
     def test_topk_out_of_range_is_config_error(self, corpus, trained):
         code = run("query", "--checkpoint", trained / "checkpoint.bin",

@@ -1,12 +1,18 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jointhash.metrics
 from jointhash.errors import DimensionError
-from jointhash.index import CodeTable, radius_search
+from jointhash.index import CodeTable, radius_search, rank_all
 from jointhash.metrics import (
+    EvalReport,
+    PRCurve,
     RelevanceList,
     average_precision,
     evaluate,
@@ -413,6 +419,260 @@ class TestEvaluate:
         assert 0 <= report.map <= 1
 
 
+def reference_evaluate(table, query_codes, query_labels, query_predicted=None,
+                       exclude_ids=None):
+    """Reference: evaluate as it was with one full ranking per query.
+
+    A verbatim copy of that per-query loop and the helpers it called; ranking
+    shared between queries with equal codes must match it bit for bit.
+    """
+    def _average_precision(hit_ranks):
+        if hit_ranks.size == 0:
+            return 0.0
+        precisions = np.arange(1, hit_ranks.size + 1) / (hit_ranks + 1)
+        return float(precisions.mean())
+
+    def _pr_by_radius(distances, hit_ranks, code_bits):
+        radii = np.arange(code_bits + 1, dtype=distances.dtype)
+        counts = np.searchsorted(distances, radii, side="right")
+        hits = np.searchsorted(hit_ranks, counts)
+        vacuous = counts == 0
+        precision = np.where(vacuous, 1.0, hits / np.maximum(counts, 1))
+        if hit_ranks.size > 0:
+            recall = hits / hit_ranks.size
+        else:
+            recall = np.zeros(code_bits + 1)
+        return PRCurve(precision=precision, recall=recall, vacuous=vacuous)
+
+    def _table_rows(table, ids):
+        sorter = np.argsort(table.ids, kind="stable")
+        sorted_ids = table.ids[sorter]
+        first = np.searchsorted(sorted_ids, ids, side="left")
+        return sorter[first]
+
+    def _hits_prefix(hit_ranks, depth):
+        run_lengths = np.diff(hit_ranks, prepend=0, append=depth)
+        return np.repeat(np.arange(hit_ranks.size + 1, dtype=np.float64),
+                         run_lengths)
+
+    def _query_pass(query_code, table, query_label, exclude_row):
+        ranking = rank_all(query_code, table)
+        order, distances = ranking.order, ranking.distances
+        if exclude_row is not None:
+            at = np.flatnonzero(order == exclude_row)[0]
+            order = np.delete(order, at)
+            distances = np.delete(distances, at)
+        hit_ranks = np.flatnonzero((table.labels == query_label)[order])
+        return hit_ranks, _pr_by_radius(distances, hit_ranks, table.code_bits)
+
+    query_codes = np.atleast_2d(np.asarray(query_codes, dtype=np.uint64))
+    query_labels = np.asarray(query_labels)
+    nq = query_codes.shape[0]
+    exclude_rows = None
+    if exclude_ids is not None:
+        exclude_rows = _table_rows(table, np.asarray(exclude_ids))
+    depth = len(table) - (0 if exclude_ids is None else 1)
+    ks = np.arange(1, depth + 1)
+    k_float = ks.astype(np.float64)
+    quotient = np.empty(ks.size)
+
+    aps = np.empty(nq)
+    prec_sum = np.zeros(ks.size)
+    rec_sum = np.zeros(ks.size)
+    pr_prec_sum = np.zeros(table.code_bits + 1)
+    pr_rec_sum = np.zeros(table.code_bits + 1)
+    vacuous_counts = np.zeros(table.code_bits + 1, dtype=np.int64)
+    zero_relevant = 0
+
+    for q in range(nq):
+        hit_ranks, curve = _query_pass(
+            query_codes[q], table, query_labels[q],
+            None if exclude_rows is None else exclude_rows[q])
+        total_relevant = hit_ranks.size
+        if total_relevant == 0:
+            zero_relevant += 1
+        aps[q] = _average_precision(hit_ranks)
+        hits_at = _hits_prefix(hit_ranks, depth)
+        prec_sum += np.divide(hits_at, k_float, out=quotient)
+        if total_relevant > 0:
+            rec_sum += np.divide(hits_at, total_relevant, out=quotient)
+        pr_prec_sum += curve.precision
+        pr_rec_sum += curve.recall
+        vacuous_counts += curve.vacuous
+
+    oa = None
+    if query_predicted is not None:
+        oa = overall_accuracy(query_predicted, query_labels)
+    return EvalReport(
+        map=float(aps.mean()),
+        ks=ks,
+        precision_at=prec_sum / nq,
+        recall_at=rec_sum / nq,
+        pr_precision=pr_prec_sum / nq,
+        pr_recall=pr_rec_sum / nq,
+        vacuous_radius_counts=vacuous_counts,
+        oa=oa,
+        num_queries=nq,
+        zero_relevant_queries=zero_relevant,
+    )
+
+
+def assert_same_report(got, want):
+    """Every EvalReport field equal in value, dtype and shape."""
+    for field in fields(EvalReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def count_rankings(monkeypatch):
+    """Count evaluate's calls of rank_all; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rank_all(*args, **kwargs)
+
+    monkeypatch.setattr(jointhash.metrics, "rank_all", counted)
+    return calls
+
+
+def shared_code_case(name, code_bits):
+    """(table, query codes, query labels, predicted, exclude ids) of a case.
+
+    The table's 60 rows are 4 centre codes with a little bit noise, so many
+    rows tie; its ids are not its row numbers.
+    """
+    rng = np.random.default_rng([code_bits, len(name)])
+    n = 60
+    centres = np.where(rng.random((4, code_bits)) > 0.5, 1, -1)
+    signs = centres[rng.integers(0, 4, n)]
+    signs[rng.random(signs.shape) < 0.05] *= -1
+    labels = rng.integers(0, 3, n)
+    ids = rng.permutation(1000)[:n]
+    table = CodeTable(np.atleast_2d(pack_codes(signs)), ids, labels,
+                      labels, code_bits)
+    pick = {
+        "one_code": [0] * 8,
+        "interleaved": [0, 1, 0, 2, 1, 0, 3, 2, 3, 1],
+        "two_labels": [1] * 6,
+        "one_query": [2],
+    }
+    if name == "distinct":
+        qsigns = np.where(rng.random((8, code_bits)) > 0.5, 1, -1)
+        qsigns[0, 0], qsigns[1, 0] = 1, -1  # at least two codes even at K=1
+    else:
+        qsigns = centres[pick[name]]
+    nq = len(qsigns)
+    qlabels = rng.integers(0, 3, nq)
+    if name == "two_labels":
+        qlabels = np.array([0, 1, 0, 1, 0, 5])  # 5 labels no row
+    exclude = ids[rng.choice(n, nq, replace=False)]
+    return table, np.atleast_2d(pack_codes(qsigns)), qlabels, qlabels, exclude
+
+
+def excluded_row_case(name):
+    """Queries that all share one code, each leaving out a row of one kind."""
+    rng = np.random.default_rng(len(name))
+    n, code_bits = 40, 10
+    signs = np.where(rng.random((n, code_bits)) > 0.5, 1, -1)
+    signs[10:20] = signs[0]
+    labels = rng.integers(0, 3, n)
+    table = build_table(signs, labels)
+    query = signs[0]
+    distance = (signs != query).sum(axis=1)
+    qlabels = np.array([0, 1, 2, 0, 1, 2])
+    if name == "irrelevant":
+        rows = [int(np.flatnonzero(labels != lab)[i])
+                for i, lab in enumerate(qlabels)]
+    elif name == "nonzero_distance":
+        rows = np.flatnonzero(distance > 0)[[0, 3, 5, 8, 13, 21]]
+    else:  # first and last table rows
+        rows = [0, n - 1, 0, n - 1, n - 1, 0]
+    codes = np.atleast_2d(pack_codes(np.tile(query, (len(qlabels), 1))))
+    return table, codes, qlabels, None, np.asarray(rows)
+
+
+class TestSharedRankings:
+    """evaluate ranks each distinct query code once and matches the reference
+    per-query loop bit for bit."""
+
+    @staticmethod
+    def check(monkeypatch, table, codes, labels, predicted, exclude):
+        want = reference_evaluate(table, codes, labels, predicted, exclude)
+        calls = count_rankings(monkeypatch)
+        got = evaluate(table, codes, labels, query_predicted=predicted,
+                       exclude_ids=exclude)
+        assert_same_report(got, want)
+        assert len(calls) == len(np.unique(codes, axis=0))
+
+    @pytest.mark.parametrize("code_bits", [1, 12, 70])
+    @pytest.mark.parametrize("name", ["one_code", "distinct", "interleaved",
+                                      "two_labels", "one_query"])
+    @pytest.mark.parametrize("mode", ["plain", "leave_one_out"])
+    def test_equal_to_per_query_reference(self, monkeypatch, name, code_bits,
+                                          mode):
+        table, codes, labels, predicted, exclude = shared_code_case(
+            name, code_bits)
+        self.check(monkeypatch, table, codes, labels, predicted,
+                   exclude if mode == "leave_one_out" else None)
+
+    @pytest.mark.parametrize("name", ["irrelevant", "nonzero_distance",
+                                      "first_and_last"])
+    def test_excluded_row_kinds(self, monkeypatch, name):
+        self.check(monkeypatch, *excluded_row_case(name))
+
+    @pytest.mark.parametrize("query", [[1, -1], [-1, -1]])
+    def test_one_row_table_with_that_row_excluded(self, monkeypatch, query):
+        table = build_table(np.array([[1, -1]]), np.array([0]))
+        codes = np.atleast_2d(pack_codes(np.array([query, query])))
+        self.check(monkeypatch, table, codes, np.array([0, 1]), None,
+                   np.array([0, 0]))
+
+    def test_random_tables_and_queries(self, monkeypatch):
+        calls = count_rankings(monkeypatch)
+
+        @st.composite
+        def cases(draw):
+            code_bits = draw(st.sampled_from([1, 5, 64, 65]))
+            n = draw(st.integers(1, 40))
+            seed = draw(st.integers(0, 2**32 - 1))
+            rng = np.random.default_rng(seed)
+            pool = np.where(rng.random((draw(st.integers(1, 5)), code_bits))
+                            > 0.5, 1, -1)
+            signs = pool[rng.integers(0, len(pool), n)]
+            signs[rng.random(signs.shape) < draw(st.sampled_from([0, 0.1]))] *= -1
+            labels = rng.integers(0, 3, n)
+            table = CodeTable(np.atleast_2d(pack_codes(signs)),
+                              rng.permutation(3 * n)[:n], labels, labels,
+                              code_bits)
+            nq = draw(st.integers(1, 12))
+            qsigns = pool[rng.integers(0, len(pool), nq)]
+            qlabels = rng.integers(0, 4, nq)
+            exclude = None
+            if draw(st.booleans()):
+                exclude = table.ids[rng.integers(0, n, nq)]
+            return (table, np.atleast_2d(pack_codes(qsigns)), qlabels,
+                    qlabels, exclude)
+
+        @settings(max_examples=150, derandomize=True, deadline=None,
+                  database=None)
+        @given(cases())
+        def check(case):
+            table, codes, labels, predicted, exclude = case
+            want = reference_evaluate(*case)
+            calls.clear()
+            got = evaluate(table, codes, labels, query_predicted=predicted,
+                           exclude_ids=exclude)
+            assert_same_report(got, want)
+            assert len(calls) == len(np.unique(codes, axis=0))
+
+        check()
+
+
 def reference_write_report_json(report, path):
     """Reference: the whole document through json.dumps(indent=2)."""
     doc = {
@@ -481,6 +741,20 @@ class TestReportWriters:
         report = evaluate(table, pack_codes(np.array([1, -1])), np.array([0]),
                           exclude_ids=np.array([0]))
         assert report.ks.size == 0
+        self.assert_same_bytes(report, tmp_path)
+
+    @pytest.mark.parametrize("rows", [8191, 8192, 8193])
+    def test_rows_at_chunk_boundary_match_reference(self, rows, tmp_path):
+        # one row short of, exactly at and one row past a write chunk
+        rng = np.random.default_rng(rows)
+        values = rng.random((2, rows)) ** 3
+        values[:, :3] = [0.0, 1.0, 1 / 3]
+        report = EvalReport(
+            map=float(values[0].mean()), ks=np.arange(1, rows + 1),
+            precision_at=values[0], recall_at=values[1],
+            pr_precision=values[0, :17], pr_recall=values[1, :17],
+            vacuous_radius_counts=rng.integers(0, 50, 17), oa=None,
+            num_queries=50, zero_relevant_queries=2)
         self.assert_same_bytes(report, tmp_path)
 
     @staticmethod

@@ -1,6 +1,11 @@
 import copy
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,3 +411,26 @@ class TestCheckpointIO:
         expected = total_loss(ds.features, ds.labels, params, hyper)
         assert total_loss(ds.features, ds.labels, loaded.params,
                           hyper) == expected
+
+
+def test_checkpoint_bytes_independent_of_blas_threads(tmp_path):
+    """Training at the acceptance shape writes the same checkpoint with one
+    and with two OpenBLAS threads."""
+    synth_dataset(10, 100, 64, separation=3.0, seed=6, out_dir=tmp_path / "ds")
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        procs.append(subprocess.Popen(
+            [sys.executable, "-m", "jointhash", "train",
+             "--features", str(tmp_path / "ds" / "features.feat"),
+             "--labels", str(tmp_path / "ds" / "labels.txt"),
+             "--bits", "16", "--batch", "32", "--epochs", "5", "--seed", "6",
+             "--out", str(tmp_path / f"threads{threads}")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    digests = {hashlib.sha256((tmp_path / f"threads{t}" / "checkpoint.bin")
+                              .read_bytes()).hexdigest() for t in ("1", "2")}
+    assert len(digests) == 1
