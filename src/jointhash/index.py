@@ -5,6 +5,13 @@ the code length are zero by construction (enforced when the table is built),
 so the inner loop needs no masking. This module is the only place distances
 are computed and a table is ordered: rank_all is the one ranking that search
 and evaluation build on.
+
+The scan walks the table in blocks of _SCAN_ROWS rows and, within a block,
+word by word: each word's XOR goes into one reused block buffer and its
+popcount is added to the distances. No table-sized temporary is built and
+no (rows, words) array is summed along its short axis. Every table size
+takes this one path: it is faster than a whole-table XOR on tables larger
+than the cache and within timing noise on small ones.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ U32_MAX = 2**32 - 1
 # median of about 460 rows and falls back to bisection for 3 queries in 200
 _SAMPLE_STRIDE = 64
 _SAMPLE_FACTOR = 2
+
+# rows per block of the _distances scan: one word's XOR of a block is 512 KB
+_SCAN_ROWS = 65536
 
 
 def _pad_is_zero(codes: np.ndarray, bits: int) -> bool:
@@ -117,15 +127,31 @@ def _distances(query: np.ndarray, table: CodeTable) -> np.ndarray:
     # turns numpy's stable sort into a radix sort with the same tie order. It
     # cannot overflow because pad bits are zero in the table and the query.
     q = np.asarray(query, dtype=np.uint64)
-    if q.shape != (table.codes.shape[1],):
+    n, words = table.codes.shape
+    if q.shape != (words,):
         raise DimensionError(
-            f"query has {q.shape[-1] if q.ndim else 0} words, table rows have "
-            f"{table.codes.shape[1]}"
+            f"query must be one packed code of shape ({words},), "
+            f"got shape {q.shape}"
         )
     if not _pad_is_zero(q[None, :], table.code_bits):
         raise ValueError("query pad bits beyond the code length must be zero")
-    return np.bitwise_count(table.codes ^ q).sum(
-        axis=1, dtype=np.min_scalar_type(table.code_bits))
+    # zeros, not empty: the rows of a 0-bit table have no word to count
+    d = np.zeros(n, dtype=np.min_scalar_type(table.code_bits))
+    block = min(n, _SCAN_ROWS)
+    xor = np.empty(block, dtype=np.uint64)
+    count = np.empty(block, dtype=np.uint8)
+    for start in range(0, n, _SCAN_ROWS):
+        rows = slice(start, start + _SCAN_ROWS)
+        out = d[rows]
+        x, c = xor[:len(out)], count[:len(out)]
+        for w in range(words):
+            np.bitwise_xor(table.codes[rows, w], q[w], out=x)
+            if w == 0:
+                np.bitwise_count(x, out=out)
+            else:
+                np.bitwise_count(x, out=c)
+                out += c
+    return d
 
 
 def rank_all(query: np.ndarray, table: CodeTable,

@@ -1,8 +1,12 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointhash import index
 from jointhash.errors import DimensionError, FormatError
 from jointhash.index import (
     CodeTable,
@@ -290,6 +294,83 @@ class TestTopK:
             top_k(query, table, 0)
         with pytest.raises(ValueError):
             top_k(query, table, 4)
+
+
+class TestBlockedScan:
+    """_distances scans the table in blocks of index._SCAN_ROWS rows."""
+
+    @pytest.mark.parametrize("k", [1, 33, 64, 65, 128, 255, 256, 300])
+    @pytest.mark.parametrize("scan_rows,n", [(1, 5), (3, 9), (3, 11),
+                                             (64, 3 * 64 + 17)])
+    def test_block_boundaries_match_oracle(self, monkeypatch, scan_rows, n, k):
+        # several blocks and, but for n = 9, a ragged last one; few distinct
+        # codes with bit noise put tie runs across the block boundaries
+        monkeypatch.setattr(index, "_SCAN_ROWS", scan_rows)
+        rng = np.random.default_rng([scan_rows, n, k])
+        signs = random_signs(rng, 3, k)[rng.integers(0, 3, n)]
+        signs[rng.random((n, k)) < 0.05] *= -1
+        table = make_table(signs)
+        for qsigns in (signs[-1], random_signs(rng, 1, k)[0]):
+            query = pack_codes(qsigns)
+            dists = [naive_distance(qsigns, row) for row in signs]
+            d = index._distances(query, table)
+            assert d.tolist() == dists
+            assert d.dtype == np.min_scalar_type(k)
+            r = rank_all(query, table)
+            assert r.order.tolist() == sorted(range(n), key=lambda i: (dists[i], i))
+            for depth in (1, scan_rows + 1, n // 2, n - 1):
+                check_depth_prefix(qsigns, signs, table, depth)
+            for radius in sorted(set(dists))[:3] + [k]:
+                assert radius_search(query, table, radius) == {
+                    i for i in range(n) if dists[i] <= radius}
+
+    def test_empty_table(self):
+        table = CodeTable(np.zeros((0, 2), dtype=np.uint64),
+                          np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                          np.zeros(0, dtype=int), code_bits=100)
+        query = pack_codes(np.ones(100, dtype=np.int8))
+        for depth in (None, 1, 5):
+            r = rank_all(query, table, depth)
+            assert len(r) == 0 and r.ids.tolist() == []
+            assert r.distances.dtype == np.uint8
+        assert radius_search(query, table, 100) == set()
+
+    def test_zero_bit_codes_tie_at_distance_zero(self):
+        # an HTBL header may declare 0 bits; its rows hold no words
+        table = CodeTable(np.zeros((5, 0), dtype=np.uint64), np.arange(5),
+                          np.zeros(5, dtype=int), np.zeros(5, dtype=int),
+                          code_bits=0)
+        r = rank_all(np.zeros(0, dtype=np.uint64), table)
+        assert r.order.tolist() == [0, 1, 2, 3, 4]
+        assert r.distances.tolist() == [0] * 5
+
+    def test_peak_memory_below_table_size(self):
+        # the scan's temporaries are block-sized; a table-sized XOR would
+        # alone reach codes.nbytes
+        rng = np.random.default_rng(11)
+        n = 4 * index._SCAN_ROWS
+        codes = rng.integers(0, 2**63, (n, 1), dtype=np.uint64)
+        table = CodeTable(codes, np.arange(n), np.zeros(n, dtype=int),
+                          np.zeros(n, dtype=int), code_bits=64)
+        query = codes[0].copy()
+        table_bytes = table.codes.nbytes
+        tracemalloc.start()
+        try:
+            index._distances(query, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes
+
+    @pytest.mark.parametrize("query,shape", [
+        (np.zeros((1, 1), dtype=np.uint64), "(1, 1)"),
+        (np.uint64(0), "()"),
+    ])
+    def test_query_shape_error_names_both_shapes(self, query, shape):
+        table = make_table(np.ones((3, 4), dtype=np.int8))
+        expected = f"query must be one packed code of shape (1,), got shape {shape}"
+        with pytest.raises(DimensionError, match=re.escape(expected)):
+            rank_all(query, table)
 
 
 class TestCodeTableValidation:
