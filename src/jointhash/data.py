@@ -16,13 +16,13 @@ row blocks that `train.encode` uses.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_open, open_binary, read_into, write_binary
 from .errors import ConfigError, DataError, FormatError
 from .index import U32_MAX
 
@@ -31,6 +31,12 @@ FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHIIH")
 # rows per block when features are read from disk or hashed into codes
 BLOCK_ROWS = 8192
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    # exact with no (N, D) mask: NaN propagates, an infinity is an extreme
+    return bool(np.isfinite(values.min(initial=0.0))
+                and np.isfinite(values.max(initial=0.0)))
 
 
 def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
@@ -68,9 +74,7 @@ class Dataset:
             row = int(np.argmax(self.labels != labels))
             raise DataError(f"label {labels[row]} in row {row} is not an "
                             "integer class index")
-        # exact with no (N, D) mask: NaN propagates, an infinity is an extreme
-        if not (np.isfinite(self.features.min(initial=0.0))
-                and np.isfinite(self.features.max(initial=0.0))):
+        if not _all_finite(self.features):
             raise DataError("features contain non-finite values")
         _check_label_range(self.labels, self.num_classes)
 
@@ -117,15 +121,21 @@ class StreamedDataset:
 
 
 def write_feature_file(path, features: np.ndarray, width: int = 64) -> None:
+    """Write (N, D) features as 32- or 64-bit floats; a value that is not
+    finite as stored raises DataError, and path keeps its old contents."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise DataError("feature files hold (N, D) matrices")
     if width not in (32, 64):
         raise DataError(f"element width must be 32 or 64, got {width}")
-    n, d = feats.shape
-    dtype = "<f4" if width == 32 else "<f8"
-    blob = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, n, d, width)
-    Path(path).write_bytes(blob + feats.astype(dtype).tobytes())
+    with np.errstate(over="ignore"):
+        stored = np.ascontiguousarray(feats, dtype="<f4" if width == 32 else "<f8")
+    if not _all_finite(stored):
+        bad = int(np.argmin(np.isfinite(stored).ravel()))
+        raise DataError(f"{path}: element {bad} ({float(feats.flat[bad])!r}) "
+                        f"is not finite as a {width}-bit float")
+    write_binary(path, _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION,
+                                            *feats.shape, width), (stored, None))
 
 
 def _feature_blocks(path):
@@ -136,41 +146,21 @@ def _feature_blocks(path):
     block is read into one reused buffer of stored values and checked for
     non-finite values before it is yielded; the next block overwrites it.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_FEATURE_HEADER.size)
-        if len(head) < _FEATURE_HEADER.size:
-            raise FormatError(
-                f"{path}: truncated header ({len(head)} bytes, "
-                f"need {_FEATURE_HEADER.size})"
-            )
-        magic, version, n, d, width = _FEATURE_HEADER.unpack(head)
-        if magic != FEATURE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-        if version != FEATURE_VERSION:
-            raise FormatError(f"{path}: unsupported feature-file version {version}")
+    def payload(n, d, width):
         if width not in (32, 64):
             raise FormatError(f"{path}: element width {width} at offset 14 "
                               "must be 32 or 64")
-        itemsize = width // 8
-        expected = _FEATURE_HEADER.size + n * d * itemsize
-        if size != expected:
-            raise FormatError(
-                f"{path}: file length {size} does not match header "
-                f"(expected {expected} bytes)"
-            )
+        return n * d * width // 8
+
+    with open_binary(path, _FEATURE_HEADER, FEATURE_MAGIC, FEATURE_VERSION,
+                     "feature-file", payload) as (fh, (n, d, width)):
         yield n, d
         rows = min(n, BLOCK_ROWS)
         buf = np.empty((rows, d), dtype="<f4" if width == 32 else "<f8")
         widen = buf.dtype != np.float64
         wide = np.empty((rows, d)) if widen else buf
         for start in range(0, n, BLOCK_ROWS):
-            stored = buf[:min(BLOCK_ROWS, n - start)]
-            if fh.readinto(stored) != stored.nbytes:
-                raise FormatError(
-                    f"{path}: file shrank while being read (short read at "
-                    f"offset {_FEATURE_HEADER.size + start * d * itemsize})"
-                )
+            stored = read_into(fh, path, buf[:min(BLOCK_ROWS, n - start)])
             block = wide[:len(stored)]
             if widen:
                 block[...] = stored
@@ -179,7 +169,7 @@ def _feature_blocks(path):
                 bad = start * d + int(np.argmin(finite))
                 raise DataError(
                     f"{path}: non-finite value at element {bad} "
-                    f"(offset {_FEATURE_HEADER.size + bad * itemsize})"
+                    f"(offset {_FEATURE_HEADER.size + bad * width // 8})"
                 )
             yield block
 
@@ -187,8 +177,7 @@ def _feature_blocks(path):
 def read_feature_file(path) -> np.ndarray:
     """(N, D) float64 features, read and checked BLOCK_ROWS rows at a time."""
     blocks = _feature_blocks(path)
-    n, d = next(blocks)
-    feats = np.empty((n, d))
+    feats = np.empty(next(blocks))
     start = 0
     for block in blocks:
         feats[start:start + len(block)] = block
@@ -202,7 +191,8 @@ def write_label_file(path, labels: np.ndarray,
     if num_classes is not None:
         lines.append(f"classes={num_classes}")
     lines.extend(str(int(v)) for v in np.asarray(labels))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_label_file(path) -> tuple[np.ndarray, int]:

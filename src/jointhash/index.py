@@ -19,11 +19,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_open
+from ._files import open_binary, read_into, write_binary
 from .errors import DimensionError, FormatError
 from .model import WORD_BITS, packed_words
 
@@ -210,43 +209,23 @@ def save_code_table(table: CodeTable, path) -> None:
                       ("predicted", table.predicted)):
         if arr.size and (arr.min() < 0 or arr.max() > U32_MAX):
             raise ValueError(f"{name} must fit in unsigned 32-bit integers")
-    blob = bytearray()
-    blob += _TABLE_HEADER.pack(TABLE_MAGIC, TABLE_VERSION, len(table),
-                               table.code_bits)
-    blob += np.ascontiguousarray(table.codes, dtype="<u8").tobytes()
-    for arr in (table.ids, table.labels, table.predicted):
-        blob += arr.astype("<u4").tobytes()
-    with atomic_open(path, "wb") as fh:
-        fh.write(blob)
+    write_binary(path, _TABLE_HEADER.pack(TABLE_MAGIC, TABLE_VERSION,
+                                          len(table), table.code_bits),
+                 (table.codes, "<u8"), (table.ids, "<u4"),
+                 (table.labels, "<u4"), (table.predicted, "<u4"))
 
 
 def load_code_table(path) -> CodeTable:
-    raw = Path(path).read_bytes()
-    if len(raw) < _TABLE_HEADER.size:
-        raise FormatError(f"{path}: truncated code-table header")
-    magic, version, n, bits = _TABLE_HEADER.unpack_from(raw, 0)
-    if magic != TABLE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-    if version != TABLE_VERSION:
-        raise FormatError(f"{path}: unsupported code-table version {version}")
-    words = packed_words(bits)
-    expected = _TABLE_HEADER.size + 8 * n * words + 3 * 4 * n
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: file length {len(raw)} does not match header "
-            f"(expected {expected} bytes)"
-        )
-    offset = _TABLE_HEADER.size
-    codes = np.frombuffer(raw, dtype="<u8", count=n * words,
-                          offset=offset).reshape(n, words).copy()
-    offset += 8 * n * words
-    u32 = []
-    for _ in range(3):
-        u32.append(np.frombuffer(raw, dtype="<u4", count=n,
-                                 offset=offset).astype(np.int64))
-        offset += 4 * n
+    with open_binary(path, _TABLE_HEADER, TABLE_MAGIC, TABLE_VERSION, "code-table",
+                     lambda n, bits: (8 * packed_words(bits) + 3 * 4) * n
+                     ) as (fh, (n, bits)):
+        codes = read_into(fh, path, np.empty((n, packed_words(bits)), "<u8"))
+        # one u32 buffer; each column is widened before the next is read
+        column = np.empty(n, "<u4")
+        ids, labels, predicted = [read_into(fh, path, column).astype(np.int64)
+                                  for _ in range(3)]
     try:
-        return CodeTable(codes=codes, ids=u32[0], labels=u32[1],
-                         predicted=u32[2], code_bits=bits)
+        return CodeTable(codes=codes, ids=ids, labels=labels,
+                         predicted=predicted, code_bits=bits)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

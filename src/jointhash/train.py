@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_open
+from ._files import open_binary, read_into, write_binary
 from .data import BLOCK_ROWS
 from .errors import DataError, FormatError, NumericError, TrainingDivergedError
 from .index import CodeTable
@@ -37,8 +36,8 @@ DIVERGENCE_LIMIT = 1e12
 CHECKPOINT_MAGIC = b"DHCN"
 CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<4sHIII")
-_HYPER = struct.Struct("<dddIIQ")
-_EPOCH = struct.Struct("<I")
+# after the parameters: eta, beta, lr, batch_size, epochs, seed, then epoch
+_TRAILER = struct.Struct("<dddIIQI")
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -175,48 +174,29 @@ def encode_database(params: ModelParams, dataset) -> CodeTable:
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
-    p = cp.params
-    h = cp.hyper
-    blob = bytearray()
-    blob += _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                         p.feature_dim, p.code_bits, p.num_classes)
-    blob += p.flat.astype("<f8", copy=False).tobytes()  # the four blocks in order
-    blob += _HYPER.pack(h.eta, h.beta, h.lr, h.batch_size, h.epochs, h.seed)
-    blob += _EPOCH.pack(cp.epoch)
-    with atomic_open(path, "wb") as fh:
-        fh.write(blob)
+    p, h = cp.params, cp.hyper
+    trailer = np.frombuffer(_TRAILER.pack(h.eta, h.beta, h.lr, h.batch_size,
+                                          h.epochs, h.seed, cp.epoch), np.uint8)
+    write_binary(path, _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                    p.feature_dim, p.code_bits, p.num_classes),
+                 (p.flat, "<f8"), (trailer, None))  # the four blocks, in order
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated checkpoint header")
-    magic, version, d, k, c = _HEADER.unpack_from(raw, 0)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    counts = (k * d, k, c * k, c)
-    expected = (_HEADER.size + 8 * sum(counts) + _HYPER.size + _EPOCH.size)
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: file length {len(raw)} does not match header "
-            f"(expected {expected} bytes)"
-        )
-    offset = _HEADER.size
-    arrays = []
-    for count in counts:
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=offset))
-        offset += 8 * count
-    eta, beta, lr, batch, epochs, seed = _HYPER.unpack_from(raw, offset)
-    offset += _HYPER.size
-    (epoch,) = _EPOCH.unpack_from(raw, offset)
+    with open_binary(path, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
+                     lambda d, k, c: 8 * (k * d + k + c * k + c) + _TRAILER.size
+                     ) as (fh, (d, k, c)):
+        flat = read_into(fh, path, np.empty(k * d + k + c * k + c, "<f8"))
+        eta, beta, lr, batch, epochs, seed, epoch = _TRAILER.unpack(
+            read_into(fh, path, np.empty(_TRAILER.size, np.uint8)))
+    hash_weights, hash_bias, cls_weights, cls_bias = np.split(
+        flat, np.cumsum([k * d, k, c * k]))
     try:
         params = ModelParams(
-            hash_weights=arrays[0].reshape(k, d),
-            hash_bias=arrays[1],
-            cls_weights=arrays[2].reshape(c, k),
-            cls_bias=arrays[3],
+            hash_weights=hash_weights.reshape(k, d),
+            hash_bias=hash_bias,
+            cls_weights=cls_weights.reshape(c, k),
+            cls_bias=cls_bias,
         )
         hyper = Hyperparams(eta=eta, beta=beta, lr=lr, code_bits=k,
                             batch_size=batch, epochs=epochs, seed=seed)

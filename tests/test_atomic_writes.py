@@ -5,11 +5,12 @@ import builtins
 import errno
 import os
 
+import numpy as np
 import pytest
 
 from jointhash import _files, cli
 from jointhash._files import atomic_open
-from jointhash.data import synth_dataset
+from jointhash.data import synth_dataset, write_feature_file, write_label_file
 from jointhash.index import save_code_table
 from jointhash.metrics import evaluate, write_curve_csvs, write_report_json
 from jointhash.objective import Hyperparams
@@ -42,7 +43,15 @@ class _DiskFills:
 
 
 @pytest.fixture
-def disk_fills(monkeypatch):
+def sweep_inputs(writer, tmp_path):
+    """The sweep's input files, in tmp_path/data, for the sweep_csv writer."""
+    if writer == "sweep_csv":
+        synth_dataset(3, 10, 4, 3.0, seed=0, out_dir=tmp_path / "data")
+
+
+@pytest.fixture
+def disk_fills(sweep_inputs, monkeypatch):
+    # the sweep's inputs are written first: they go through _files too
     monkeypatch.setattr(_files, "open",
                         lambda *a, **kw: _DiskFills(builtins.open(*a, **kw)),
                         raising=False)
@@ -55,8 +64,7 @@ def _report_and_table():
 
 
 def _sweep(out):
-    """Exit code of a one-point sweep into out; its inputs go to out/data."""
-    synth_dataset(3, 10, 4, 3.0, seed=0, out_dir=out / "data")
+    """Exit code of a one-point sweep into out, on the inputs in out/data."""
     return cli.main(["sweep", "--features", str(out / "data" / "features.feat"),
                      "--labels", str(out / "data" / "labels.txt"),
                      "--bits", "4", "--eta", "0.2", "--beta", "25",
@@ -77,6 +85,10 @@ WRITERS = {
     "trace_csv": (["trace.csv"], lambda out: cli._write_trace_csv(
         [EpochStats(1, 1.5, 1.0, 0.5)], out / "trace.csv")),
     "sweep_csv": (["sweep.csv"], _sweep),
+    "write_feature_file": (["features.feat"], lambda out: write_feature_file(
+        out / "features.feat", np.ones((2, 3)))),
+    "write_label_file": (["labels.txt"], lambda out: write_label_file(
+        out / "labels.txt", [0, 2, 1], 3)),
 }
 
 
@@ -85,7 +97,7 @@ def test_failed_write_keeps_old_file(writer, tmp_path, disk_fills):
     names, write = WRITERS[writer]
     for name in names:
         (tmp_path / name).write_bytes(OLD)
-    before = sorted(os.listdir(tmp_path))
+    before = sorted(p for p in os.listdir(tmp_path) if p != "data")
     if writer == "sweep_csv":
         assert write(tmp_path) == 3  # the CLI's exit code for an OSError
     else:
@@ -98,7 +110,7 @@ def test_failed_write_keeps_old_file(writer, tmp_path, disk_fills):
 
 
 @pytest.mark.parametrize("writer", list(WRITERS))
-def test_write_replaces_old_file(writer, tmp_path):
+def test_write_replaces_old_file(writer, tmp_path, sweep_inputs):
     names, write = WRITERS[writer]
     for name in names:
         (tmp_path / name).write_bytes(OLD)

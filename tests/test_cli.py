@@ -440,6 +440,27 @@ class TestCorruptInputs:
         code = self.run_eval(corpus, trained, tmp_path, checkpoint=bad)
         self.assert_data_error(code, capsys, bad)
 
+    def test_code_table_truncated_header(self, corpus, trained, tmp_path,
+                                         capsys):
+        bad = tmp_path / "short.htbl"
+        bad.write_bytes((trained / "db.htbl").read_bytes()[:10])
+        code = run("query", "--checkpoint", trained / "checkpoint.bin",
+                   "--codes", bad, "--features",
+                   corpus / "query" / "features.feat")
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: {bad}: truncated header (10 bytes, need 14)"]
+
+    def test_checkpoint_bad_version(self, corpus, trained, tmp_path, capsys):
+        raw = bytearray((trained / "checkpoint.bin").read_bytes())
+        raw[4] = 99  # the low byte of the u16 version
+        bad = tmp_path / "version.bin"
+        bad.write_bytes(bytes(raw))
+        code = self.run_eval(corpus, trained, tmp_path, checkpoint=bad)
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: {bad}: unsupported checkpoint version 99"]
+
     def test_label_file_not_utf8(self, corpus, trained, tmp_path, capsys):
         lines = (corpus / "query" / "labels.txt").read_bytes().splitlines()
         lines[2] = b"\xff"

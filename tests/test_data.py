@@ -1,9 +1,10 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from jointhash import data as data_module
+from jointhash import _files
 from jointhash.data import (
     BLOCK_ROWS,
     Dataset,
@@ -19,6 +20,14 @@ from jointhash.data import (
     write_label_file,
 )
 from jointhash.errors import ConfigError, DataError, FormatError
+from jointhash.index import CodeTable, load_code_table, save_code_table
+from jointhash.objective import Hyperparams
+from jointhash.train import (
+    Checkpoint,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 class TestFeatureFile:
@@ -113,20 +122,59 @@ class TestFeatureFile:
         loaded = read_feature_file(path)
         assert loaded.shape == (0, 4) and loaded.dtype == np.float64
 
-    def test_file_shrinking_while_read(self, tmp_path, monkeypatch):
-        # the size check passes, then the values run out mid-block
-        path = tmp_path / "shrunk.feat"
-        write_feature_file(path, np.ones((BLOCK_ROWS + 2, 3)), width=32)
-        full = path.stat().st_size
-        path.write_bytes(path.read_bytes()[:-12])
-        monkeypatch.setattr(data_module.os, "fstat",
-                            lambda fd: SimpleNamespace(st_size=full))
-        with pytest.raises(FormatError, match="shrank"):
-            read_feature_file(path)
+    @pytest.mark.parametrize("width, value, shown", [(64, np.nan, "nan"),
+                                                     (32, 1e39, "1e+39")])
+    def test_write_rejects_values_not_finite_as_stored(self, tmp_path, width,
+                                                       value, shown):
+        # 1e39 is finite as a float64 but overflows to inf as a float32
+        path = tmp_path / "f.feat"
+        path.write_bytes(b"old")
+        feats = np.ones((2, 3))
+        feats[1, 1] = value
+        with pytest.raises(DataError) as err:
+            write_feature_file(path, feats, width=width)
+        assert str(err.value) == (f"{path}: element 4 ({shown}) is not "
+                                  f"finite as a {width}-bit float")
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["f.feat"]
 
     def test_bad_width_rejected(self, tmp_path):
         with pytest.raises(DataError):
             write_feature_file(tmp_path / "w.feat", np.ones((1, 1)), width=16)
+
+
+def _shrinking_feat(path):
+    write_feature_file(path, np.ones((BLOCK_ROWS + 2, 3)), width=32)
+    return read_feature_file, 16 + BLOCK_ROWS * 3 * 4  # the second block
+
+
+def _shrinking_htbl(path):
+    n = 5
+    save_code_table(CodeTable(np.zeros((n, 1), np.uint64), np.arange(n),
+                              np.zeros(n), np.zeros(n), code_bits=16), path)
+    return load_code_table, 14 + 8 * n + 2 * 4 * n  # the predicted column
+
+
+def _shrinking_dhcn(path):
+    params = init_params(3, 4, 2, seed=0)
+    save_checkpoint(Checkpoint(params, Hyperparams(code_bits=4), 1), path)
+    return load_checkpoint, 18 + params.flat.nbytes  # the hyperparameters
+
+
+@pytest.mark.parametrize("write", [_shrinking_feat, _shrinking_htbl,
+                                   _shrinking_dhcn], ids=["FEAT", "HTBL", "DHCN"])
+def test_file_shrinking_while_read(tmp_path, monkeypatch, write):
+    # the size check passes, then the last 12 bytes are missing at their read
+    path = tmp_path / "shrunk"
+    read, offset = write(path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-12])
+    monkeypatch.setattr(_files.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=full))
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert str(err.value) == (f"{path}: file shrank while being read (short "
+                              f"read at offset {offset})")
 
 
 class TestLabelFile:
@@ -220,7 +268,10 @@ class TestStreamedDataset:
         assert np.array_equal(np.concatenate(blocks), loaded.features)
 
     def test_labels_checked_before_any_value_is_read(self, tmp_path):
-        write_feature_file(tmp_path / "f.feat", np.full((3, 2), np.nan))
+        # every value NaN: write_feature_file rejects that, so patch it in
+        write_feature_file(tmp_path / "f.feat", np.ones((3, 2)))
+        raw = (tmp_path / "f.feat").read_bytes()
+        (tmp_path / "f.feat").write_bytes(raw[:16] + np.full(6, np.nan).tobytes())
         write_label_file(tmp_path / "l.txt", [0, 1])
         with pytest.raises(DataError, match="holds 3 rows but .* holds 2 labels"):
             StreamedDataset(tmp_path / "f.feat", tmp_path / "l.txt")

@@ -438,3 +438,47 @@ class TestCodeTableFile:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError):
             load_code_table(path)
+
+    @pytest.mark.parametrize("fault", ["truncated header", "bad magic",
+                                       "bad version", "wrong length"])
+    def test_header_messages(self, tmp_path, fault):
+        path = tmp_path / "t.htbl"
+        save_code_table(make_table(random_signs(np.random.default_rng(11),
+                                                5, 16)), path)
+        raw = path.read_bytes()
+        bad, message = {
+            "truncated header": (raw[:10], "truncated header (10 bytes, need 14)"),
+            "bad magic": (b"NOPE" + raw[4:], "bad magic b'NOPE' at offset 0"),
+            "bad version": (raw[:4] + b"\x02\x00" + raw[6:],
+                            "unsupported code-table version 2"),
+            "wrong length": (raw[:-1], f"file length {len(raw) - 1} does not "
+                             f"match header (expected {len(raw)} bytes)"),
+        }[fault]
+        path.write_bytes(bad)
+        with pytest.raises(FormatError) as err:
+            load_code_table(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_peak_memory(self, tmp_path):
+        # save writes one array at a time and load reads into the arrays it
+        # returns, so neither holds the file as one blob
+        n = 200_000
+        rng = np.random.default_rng(12)
+        table = CodeTable(rng.integers(0, 2**63, (n, 1), dtype=np.uint64),
+                          np.arange(n), rng.integers(0, 10, n),
+                          rng.integers(0, 10, n), code_bits=64)
+        path = tmp_path / "t.htbl"
+        tracemalloc.start()
+        try:
+            save_code_table(table, path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loaded = load_code_table(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert save_peak < table.codes.nbytes
+        returned = sum(a.nbytes for a in (loaded.codes, loaded.ids,
+                                          loaded.labels, loaded.predicted))
+        assert load_peak < 1.25 * returned
+        assert np.array_equal(loaded.codes, table.codes)

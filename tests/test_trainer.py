@@ -403,6 +403,26 @@ class TestCheckpointIO:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("fault", ["truncated header", "bad magic",
+                                       "bad version", "wrong length"])
+    def test_header_messages(self, tmp_path, fault):
+        path = tmp_path / "cp.bin"
+        save_checkpoint(Checkpoint(init_params(3, 4, 2, 0), quick_hyper(), 1),
+                        path)
+        raw = path.read_bytes()
+        bad, message = {
+            "truncated header": (raw[:17], "truncated header (17 bytes, need 18)"),
+            "bad magic": (b"XXXX" + raw[4:], "bad magic b'XXXX' at offset 0"),
+            "bad version": (raw[:4] + b"\x63\x00" + raw[6:],
+                            "unsupported checkpoint version 99"),
+            "wrong length": (raw + b"\0", f"file length {len(raw) + 1} does "
+                             f"not match header (expected {len(raw)} bytes)"),
+        }[fault]
+        path.write_bytes(bad)
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_loaded_params_reproduce_loss(self, tmp_path):
         ds = small_dataset(seed=8)
         hyper = quick_hyper(epochs=2)
