@@ -4,9 +4,16 @@ Feature files are binary: magic "FEAT", version u16, N u32, D u32, element
 width u16 (32 or 64), then N*D row-major little-endian IEEE-754 values.
 Label files are plain text with one class index per line; the first line may
 be "classes=C". 32-bit feature values are widened to float64 on load.
+`write_label_file` refuses, before it writes, any labels that
+`read_label_file` would reject.
 
-Feature files are read BLOCK_ROWS rows at a time through one reused buffer
-(`_feature_blocks`), never as the whole file of bytes.
+Feature files are read in blocks bounded by bytes (`_feature_blocks`), never
+as the whole file of bytes. A block holds `_block_rows(D)` rows: BLOCK_ROWS,
+or fewer when D is so wide that BLOCK_ROWS float64 rows pass _BLOCK_BYTES.
+A 64-bit file is read straight into the float64 block; a 32-bit file goes
+through a buffer of at most _WIDEN_BYTES of stored values, widened piece by
+piece into the block. Each block is checked for values that are not finite
+by its min and max, with no (rows, D) mask.
 `read_feature_file` and `load_dataset`, which train, query and sweep use,
 fill the (N, D) float64 matrix from those blocks and hold it.
 `StreamedDataset`, which encode and eval use, holds one block at a time:
@@ -16,6 +23,7 @@ row blocks that `train.encode` uses.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +37,20 @@ from .index import U32_MAX
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHIIH")
-# rows per block when features are read from disk or hashed into codes
+# rows per block when features are read from disk or hashed into codes, and
+# the float64 bytes a block may take (BLOCK_ROWS rows of D = 128)
 BLOCK_ROWS = 8192
+_BLOCK_BYTES = 8 * BLOCK_ROWS * 128
+# a block never has fewer rows: at 64 rows and up, a wide matrix product gave
+# the bits of an 8192-row block; at 1 or 7 rows it did not
+_MIN_BLOCK_ROWS = 64
+# stored bytes of a 32-bit file read at a time, then widened into the block
+_WIDEN_BYTES = 1 << 20
+
+
+def _block_rows(dim: int) -> int:
+    """Rows per block of D-wide float64 features, for reads and for encode."""
+    return max(_MIN_BLOCK_ROWS, min(BLOCK_ROWS, _BLOCK_BYTES // (8 * max(dim, 1))))
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -98,7 +118,7 @@ class StreamedDataset:
 
     Construction reads and checks the feature header and the whole label
     file, as `load_dataset` checks them. The feature values are read only by
-    iterating `blocks()`, once, BLOCK_ROWS rows at a time, so the (N, D)
+    iterating `blocks()`, once, one block at a time, so the (N, D)
     matrix is never held.
     """
 
@@ -142,8 +162,9 @@ def _feature_blocks(path):
     """Read a feature file block by block, checking it as it goes.
 
     Yields the header's (N, D) first, then the rows as float64 (rows, D)
-    arrays of BLOCK_ROWS rows (the last one shorter), in file order. Each
-    block is read into one reused buffer of stored values and checked for
+    arrays of `_block_rows(D)` rows (the last one shorter), in file order.
+    Each block is read into one reused float64 buffer (a 32-bit file through
+    a buffer of at most _WIDEN_BYTES, widened piece by piece) and checked for
     non-finite values before it is yielded; the next block overwrites it.
     """
     def payload(n, d, width):
@@ -155,18 +176,22 @@ def _feature_blocks(path):
     with open_binary(path, _FEATURE_HEADER, FEATURE_MAGIC, FEATURE_VERSION,
                      "feature-file", payload) as (fh, (n, d, width)):
         yield n, d
-        rows = min(n, BLOCK_ROWS)
-        buf = np.empty((rows, d), dtype="<f4" if width == 32 else "<f8")
-        widen = buf.dtype != np.float64
-        wide = np.empty((rows, d)) if widen else buf
-        for start in range(0, n, BLOCK_ROWS):
-            stored = read_into(fh, path, buf[:min(BLOCK_ROWS, n - start)])
-            block = wide[:len(stored)]
-            if widen:
-                block[...] = stored
-            finite = np.isfinite(block)
-            if not finite.all():
-                bad = start * d + int(np.argmin(finite))
+        step = _block_rows(d)
+        wide = np.empty((min(n, step), d))
+        dtype = np.dtype("<f4" if width == 32 else "<f8")
+        stored = None if dtype == wide.dtype else np.empty(
+            max(1, min(wide.size, _WIDEN_BYTES // dtype.itemsize)), dtype)
+        for start in range(0, n, step):
+            block = wide[:min(step, n - start)]
+            if stored is None:
+                read_into(fh, path, block)
+            else:
+                flat = block.reshape(-1)
+                for at in range(0, flat.size, stored.size):
+                    piece = flat[at:at + stored.size]
+                    piece[...] = read_into(fh, path, stored[:piece.size])
+            if not _all_finite(block):
+                bad = start * d + int(np.argmin(np.isfinite(block)))
                 raise DataError(
                     f"{path}: non-finite value at element {bad} "
                     f"(offset {_FEATURE_HEADER.size + bad * width // 8})"
@@ -175,7 +200,7 @@ def _feature_blocks(path):
 
 
 def read_feature_file(path) -> np.ndarray:
-    """(N, D) float64 features, read and checked BLOCK_ROWS rows at a time."""
+    """(N, D) float64 features, read and checked one block at a time."""
     blocks = _feature_blocks(path)
     feats = np.empty(next(blocks))
     start = 0
@@ -187,18 +212,85 @@ def read_feature_file(path) -> np.ndarray:
 
 def write_label_file(path, labels: np.ndarray,
                      num_classes: int | None = None) -> None:
-    lines = []
-    if num_classes is not None:
-        lines.append(f"classes={num_classes}")
-    lines.extend(str(int(v)) for v in np.asarray(labels))
+    """Write one label per line, after a "classes=C" line when num_classes
+    is given. What `read_label_file` would reject (no labels, a label that is
+    not an integer in [0, C) and [0, U32_MAX], or C outside [1, U32_MAX])
+    raises DataError naming the first bad value, and path keeps its old
+    contents."""
+    labels = np.asarray(labels)
+    if num_classes is not None and not (isinstance(num_classes, (int, np.integer))
+                                        and 1 <= num_classes <= U32_MAX):
+        raise DataError(f"{path}: class count must be an integer in "
+                        f"[1, {U32_MAX}], got {num_classes!r}")
+    if labels.ndim != 1 or not labels.size:
+        raise DataError(f"{path}: labels must form a non-empty 1-D array, "
+                        f"got shape {labels.shape}")
+    try:
+        values = labels.astype(np.float64, casting="same_kind")
+    except TypeError:
+        raise DataError(f"{path}: labels of dtype {labels.dtype} are not "
+                        "integer class indices") from None
+    top = U32_MAX if num_classes is None else int(num_classes) - 1
+    ok = (values >= 0) & (values <= top) & (values == np.trunc(values))
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise DataError(f"{path}: label {labels[row].item()!r} at index {row} "
+                        f"is not an integer in [0, {top}]")
+    lines = [] if num_classes is None else [f"classes={top + 1}"]
+    lines.extend(map(str, values.astype(np.int64).tolist()))
     with atomic_open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+# a label file whose labels parse all at once: an optional classes=C line,
+# then lines of 1 to 10 ASCII digits, each ended by a newline
+_CANONICAL_HEADER = re.compile(rb"classes=([0-9]{1,10})\n")
+
+
+def _parse_canonical(raw: bytes) -> tuple[np.ndarray, int | None] | None:
+    """Labels and declared class count of a canonical label file whose
+    labels and count are all in range, or None for any other file."""
+    header = _CANONICAL_HEADER.match(raw)
+    declared = int(header[1]) if header else None
+    if declared is not None and not 1 <= declared <= U32_MAX:
+        return None
+    body = np.frombuffer(raw, np.uint8, offset=header.end() if header else 0)
+    if not body.size or body[-1] != ord("\n"):
+        return None
+    ends = np.flatnonzero(body == ord("\n"))
+    digits = body - np.uint8(ord("0"))  # a newline or any non-digit wraps past 9
+    if np.count_nonzero(digits > 9) != ends.size:
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > 10:
+        return None
+    labels = np.zeros(ends.size, np.int64)
+    for back in range(int(lengths.max()), 0, -1):
+        digit = digits[np.maximum(ends - back, 0)]
+        labels = labels * 10 + np.where(lengths >= back, digit, 0)
+    top = U32_MAX if declared is None else declared - 1
+    if labels.max() > top:
+        return None
+    return labels, declared
+
+
 def read_label_file(path) -> tuple[np.ndarray, int]:
-    """Labels plus the class count (declared, or max label + 1)."""
+    """Labels plus the class count (declared, or max label + 1).
+
+    A canonical file (see `_parse_canonical`) is parsed as one array; any
+    other file line by line, which gives the same labels and names the first
+    bad line.
+    """
+    raw = Path(path).read_bytes()
+    parsed = _parse_canonical(raw)
+    labels, declared = _parse_label_lines(path, raw) if parsed is None else parsed
+    return labels, declared if declared is not None else int(labels.max()) + 1
+
+
+def _parse_label_lines(path, raw: bytes) -> tuple[np.ndarray, int | None]:
+    """Labels and declared class count of any label file, line by line."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text at offset {exc.start}") from None
     declared = None
@@ -234,8 +326,7 @@ def read_label_file(path) -> tuple[np.ndarray, int]:
         values.append(value)
     if not values:
         raise FormatError(f"{path}: no labels found")
-    labels = np.asarray(values, dtype=np.int64)
-    return labels, declared if declared is not None else int(labels.max()) + 1
+    return np.asarray(values, dtype=np.int64), declared
 
 
 def _read_labels_for(label_path, feature_path,
@@ -261,8 +352,10 @@ def save_dataset(dataset: Dataset, out_dir) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     feature_path = out_dir / "features.feat"
     label_path = out_dir / "labels.txt"
-    write_feature_file(feature_path, dataset.features)
+    # the labels first: their writer refuses an empty dataset, and a
+    # Dataset's finite float64 features cannot fail their check
     write_label_file(label_path, dataset.labels, dataset.num_classes)
+    write_feature_file(feature_path, dataset.features)
     return feature_path, label_path
 
 

@@ -142,7 +142,9 @@ def affine_hash(features: np.ndarray, params: ModelParams) -> np.ndarray:
             f"feature dimension {f.shape[-1]} does not match "
             f"hash layer input {params.feature_dim}"
         )
-    return f @ params.hash_weights.T + params.hash_bias
+    u = f @ params.hash_weights.T
+    u += params.hash_bias
+    return u
 
 
 def binarize(u: np.ndarray) -> np.ndarray:
@@ -171,11 +173,12 @@ def logistic(x):
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction."""
+    """Row-wise softmax with max subtraction, as one new array."""
     s = np.asarray(scores, dtype=np.float64)
-    shifted = s - np.maximum.reduce(s, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = s - np.maximum.reduce(s, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def class_scores(u: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -186,7 +189,9 @@ def class_scores(u: np.ndarray, params: ModelParams) -> np.ndarray:
             f"hash-like dimension {u.shape[-1]} does not match "
             f"classifier input {params.code_bits}"
         )
-    return softmax(u @ params.cls_weights.T + params.cls_bias)
+    scores = u @ params.cls_weights.T
+    scores += params.cls_bias
+    return softmax(scores)
 
 
 def predict_labels(t: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import open_binary, read_into, write_binary
-from .data import BLOCK_ROWS
+from .data import _block_rows
 from .errors import DataError, FormatError, NumericError, TrainingDivergedError
 from .index import CodeTable
 from .model import (
@@ -132,16 +132,18 @@ def encode(params: ModelParams,
            features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Packed hash codes (one row per feature row) and predicted labels.
 
-    Rows are hashed BLOCK_ROWS at a time into preallocated outputs, so the
-    temporaries stay at one block's size. A 1-D feature vector is one row.
+    Rows are hashed `data._block_rows(D)` at a time into preallocated
+    outputs, so the temporaries stay at one block's size. A 1-D feature
+    vector is one row.
     """
     f = np.atleast_2d(features)
     n = f.shape[0]
     codes = np.empty((n, packed_words(params.code_bits)), dtype=np.uint64)
     predicted = np.empty(n, dtype=np.int64)
+    step = _block_rows(f.shape[-1])
     # an empty input still runs one (empty) block, which checks its width
-    for start in range(0, max(n, 1), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
+    for start in range(0, max(n, 1), step):
+        rows = slice(start, start + step)
         u = affine_hash(f[rows], params)
         codes[rows] = pack_codes(binarize(u))
         predicted[rows] = predict_labels(class_scores(u, params))
@@ -153,8 +155,8 @@ def encode_database(params: ModelParams, dataset) -> CodeTable:
 
     The dataset is a Dataset or a StreamedDataset, and `encode` hashes each
     block of rows that `dataset.blocks()` gives. A StreamedDataset's blocks
-    are the BLOCK_ROWS row ranges that `encode` splits an array into, so
-    both give the codes of `encode(params, features)`, bit for bit.
+    are the `data._block_rows(D)` row ranges that `encode` splits an array
+    into, so both give the codes of `encode(params, features)`, bit for bit.
     """
     n = len(dataset)
     codes = np.empty((n, packed_words(params.code_bits)), dtype=np.uint64)

@@ -1,14 +1,19 @@
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointhash import _files
 from jointhash.data import (
     BLOCK_ROWS,
     Dataset,
     StreamedDataset,
+    _block_rows,
+    _parse_canonical,
     load_dataset,
     parse_run_config,
     read_feature_file,
@@ -20,7 +25,7 @@ from jointhash.data import (
     write_label_file,
 )
 from jointhash.errors import ConfigError, DataError, FormatError
-from jointhash.index import CodeTable, load_code_table, save_code_table
+from jointhash.index import U32_MAX, CodeTable, load_code_table, save_code_table
 from jointhash.objective import Hyperparams
 from jointhash.train import (
     Checkpoint,
@@ -121,6 +126,34 @@ class TestFeatureFile:
         write_feature_file(path, np.zeros((0, 4)), width=width)
         loaded = read_feature_file(path)
         assert loaded.shape == (0, 4) and loaded.dtype == np.float64
+
+    @pytest.mark.parametrize("d, rows", [(0, BLOCK_ROWS), (64, BLOCK_ROWS),
+                                         (128, BLOCK_ROWS), (129, 8128),
+                                         (1024, 1024), (16384, 64), (10**6, 64)])
+    def test_block_rows_bounded_by_bytes(self, d, rows):
+        # 8 MiB of float64 per block, BLOCK_ROWS rows at most, 64 at least
+        assert _block_rows(d) == rows
+
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_block_wider_than_widening_buffer(self, tmp_path, width):
+        # 70 rows of D = 5000 are one block of 350,000 values, which a 32-bit
+        # file widens in two pieces; a NaN in the second piece is named
+        d = 5000
+        feats = np.random.default_rng(width).normal(size=(70, d))
+        feats = feats.astype(np.float32).astype(np.float64)
+        path = tmp_path / "wide.feat"
+        write_feature_file(path, feats, width=width)
+        assert np.array_equal(read_feature_file(path), feats)
+        element = 69 * d + 3
+        offset = 16 + element * width // 8
+        raw = bytearray(path.read_bytes())
+        dtype = "<f4" if width == 32 else "<f8"
+        raw[offset:offset + width // 8] = np.array([np.nan], dtype).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError) as err:
+            read_feature_file(path)
+        assert str(err.value) == (f"{path}: non-finite value at element "
+                                  f"{element} (offset {offset})")
 
     @pytest.mark.parametrize("width, value, shown", [(64, np.nan, "nan"),
                                                      (32, 1e39, "1e+39")])
@@ -234,6 +267,205 @@ class TestLabelFile:
         assert labels.tolist() == [0, 2**32 - 2] and classes == 2**32 - 1
 
 
+def reference_read_label_file(path) -> tuple[np.ndarray, int]:
+    """read_label_file's line-by-line parser, kept verbatim as the oracle of
+    its one-array path for canonical files."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at offset {exc.start}") from None
+    declared = None
+    values = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.startswith("classes="):
+            try:
+                declared = int(line.split("=", 1)[1])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: malformed classes header "
+                                  f"{line!r}") from None
+            if not 1 <= declared <= U32_MAX:
+                raise DataError(f"{path}:{lineno}: class count must lie in "
+                                f"[1, {U32_MAX}], got {declared}")
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: expected an integer label, got {line!r}"
+            ) from None
+        if not 0 <= value <= U32_MAX:
+            raise DataError(f"{path}:{lineno}: label {value} must lie in "
+                            f"[0, {U32_MAX}]")
+        if declared is not None and value >= declared:
+            raise DataError(
+                f"{path}:{lineno}: label {value} out of range for "
+                f"classes={declared}"
+            )
+        values.append(value)
+    if not values:
+        raise FormatError(f"{path}: no labels found")
+    labels = np.asarray(values, dtype=np.int64)
+    return labels, declared if declared is not None else int(labels.max()) + 1
+
+
+def label_outcome(read, path):
+    try:
+        labels, classes = read(path)
+    except (FormatError, DataError) as exc:
+        return type(exc), str(exc)
+    return labels.dtype, labels.tolist(), type(classes), classes
+
+
+ODD_LINES = ["+7", "1_0", "007", "٣", "１", " 3", "3 ", "\t5", "-1", "x", "",
+             "12345678901", "4294967295", "4294967296", "99999999999", "\x85"]
+
+
+@st.composite
+def label_texts(draw):
+    """Label files: half canonical, with labels around the declared class
+    count and U32_MAX; half with every kind of line that the line-by-line
+    parser treats in its own way."""
+    if draw(st.booleans()):
+        header = draw(st.one_of(st.none(), st.integers(1, 13)))
+        label = st.one_of(st.integers(0, 14), st.integers(U32_MAX - 1, 10**10),
+                          st.integers(2**63, 2**64), st.integers(0, 10**20))
+        zeros = st.integers(0, 12).map(lambda k: "0" * k)
+        line = st.one_of(st.builds("{}{}".format, zeros, label), st.just(""))
+        lines = draw(st.lists(line, max_size=8))
+        if header is not None:
+            lines.insert(0, f"classes={header}")
+        text = "".join(f"{line}\n" for line in lines)
+        return (text[:-1] if draw(st.booleans()) else text).encode()
+    line = st.one_of(st.integers(0, 12).map(str), st.integers(0, 2**34).map(str),
+                     st.sampled_from(ODD_LINES))
+    header = st.one_of(st.none(), st.integers(1, 13).map(lambda c: f"classes={c}"),
+                       st.sampled_from(["classes=0", "classes=4294967296",
+                                        "classes=x", "classes=", "classes=+3",
+                                        " classes=3", "classes=٣", "classes=03"]))
+    lines = draw(st.lists(line, max_size=8))
+    first = draw(header)
+    if first is not None:
+        lines.insert(0, first)
+    ends = draw(st.lists(st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\n\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, ends))
+    if draw(st.booleans()) and text.endswith("\n"):
+        text = text[:-1]
+    return text.encode()
+
+
+def test_label_parser_matches_line_by_line_parser(tmp_path_factory):
+    path = tmp_path_factory.mktemp("labels") / "labels.txt"
+
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(label_texts())
+    def check(raw):
+        path.write_bytes(raw)
+        assert label_outcome(read_label_file, path) == label_outcome(
+            reference_read_label_file, path)
+
+    check()
+
+
+@pytest.mark.parametrize("raw, labels, classes", [
+    (b"0\n2\n1\n", [0, 2, 1], None),
+    (b"classes=5\n0\n4\n", [0, 4], 5),
+    (b"classes=007\n0006\n00\n", [6, 0], 7),
+    (b"4294967295\n0\n", [U32_MAX, 0], None),
+    (b"classes=4294967295\n4294967294\n", [U32_MAX - 1], U32_MAX),
+])
+def test_canonical_label_files_parse_at_once(raw, labels, classes):
+    got, declared = _parse_canonical(raw)
+    assert got.dtype == np.int64 and got.tolist() == labels
+    assert declared == classes
+
+
+@pytest.mark.parametrize("raw", [
+    b"0\r\n1\r\n", b"0\n\n1\n", b"+7\n", b"1_0\n", "٣\n".encode(),
+    b"0\n1", b" 3\n", b"4294967296\n", b"12345678901\n", b"classes=3\n3\n",
+    b"classes=0\n0\n", b"classes=x\n0\n", b"classes=3 \n0\n", b"classes=3\n",
+    b"", b"\n", b"1\n18446744073709551615\n",
+], ids=["crlf", "blank", "plus", "underscore", "arabic", "no_end", "space",
+        "above_u32", "11_digits", "at_classes", "zero_classes", "bad_header",
+        "header_space", "empty_body", "empty", "newline", "wraps_int64"])
+def test_other_label_files_go_line_by_line(raw):
+    assert _parse_canonical(raw) is None
+
+
+class TestWriteLabelFile:
+    @pytest.mark.parametrize("labels, classes, message", [
+        ([0, 5], 3, "label 5 at index 1 is not an integer in [0, 2]"),
+        ([0, -1], None, f"label -1 at index 1 is not an integer in [0, {U32_MAX}]"),
+        ([2**32], None, f"label {2**32} at index 0 is not an integer in "
+                        f"[0, {U32_MAX}]"),
+        ([2**70], None, "labels of dtype object are not integer class indices"),
+        ([0.5, 1.0], None, f"label 0.5 at index 0 is not an integer in "
+                           f"[0, {U32_MAX}]"),
+        ([1.0, np.nan], 3, "label nan at index 1 is not an integer in [0, 2]"),
+        (np.zeros(0, np.int64), 4,
+         "labels must form a non-empty 1-D array, got shape (0,)"),
+        ([0], 0, f"class count must be an integer in [1, {U32_MAX}], got 0"),
+        ([0], 2**32, f"class count must be an integer in [1, {U32_MAX}], "
+                     f"got {2**32}"),
+        ([0], 2.0, f"class count must be an integer in [1, {U32_MAX}], got 2.0"),
+        ([[0, 1]], None, "labels must form a non-empty 1-D array, got shape (1, 2)"),
+        (["1"], None, "labels of dtype <U1 are not integer class indices"),
+    ])
+    def test_refuses_what_the_reader_rejects(self, tmp_path, labels, classes,
+                                             message):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"old")
+        with pytest.raises(DataError) as err:
+            write_label_file(path, labels, classes)
+        assert str(err.value) == f"{path}: {message}"
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["labels.txt"]
+
+    def test_integral_floats_and_unsigned_are_written(self, tmp_path):
+        write_label_file(tmp_path / "a.txt", [0.0, 2.0, 1.0], np.int64(3))
+        write_label_file(tmp_path / "b.txt", np.array([U32_MAX], np.uint64))
+        assert (tmp_path / "a.txt").read_text() == "classes=3\n0\n2\n1\n"
+        assert (tmp_path / "b.txt").read_text() == f"{U32_MAX}\n"
+
+    def test_written_files_read_back(self, tmp_path_factory):
+        # a file is written exactly when the reader accepts its labels
+        path = tmp_path_factory.mktemp("labels") / "labels.txt"
+        label = st.one_of(st.integers(-2, 2**33), st.floats(-2, 20),
+                          st.sampled_from([np.nan, np.inf, -np.inf]))
+
+        def readable(labels, classes):
+            top = U32_MAX if classes is None else classes - 1
+            return bool(labels) and top >= 0 and all(
+                np.isfinite(v) and v == int(v) and 0 <= v <= top for v in labels)
+
+        @settings(max_examples=60, derandomize=True, deadline=None,
+                  database=None)
+        @given(st.lists(label, max_size=5),
+               st.one_of(st.none(), st.integers(-1, 12)))
+        def check(labels, classes):
+            path.write_bytes(b"old")
+            if not readable(labels, classes):
+                with pytest.raises(DataError):
+                    write_label_file(path, labels, classes)
+                assert path.read_bytes() == b"old"
+                return
+            write_label_file(path, labels, classes)
+            read, read_classes = read_label_file(path)
+            assert read.tolist() == labels
+            assert read_classes == (classes or int(max(labels)) + 1)
+
+        check()
+
+    def test_save_dataset_refuses_no_rows(self, tmp_path):
+        empty = Dataset(np.zeros((0, 3)), np.zeros(0, np.int64), num_classes=4)
+        with pytest.raises(DataError, match="non-empty 1-D array"):
+            save_dataset(empty, tmp_path / "out")
+        assert os.listdir(tmp_path / "out") == []
+
+
 class TestLoadDataset:
     def test_count_mismatch_names_both_files(self, tmp_path):
         write_feature_file(tmp_path / "f.feat", np.ones((3, 2)))
@@ -275,6 +507,17 @@ class TestStreamedDataset:
         write_label_file(tmp_path / "l.txt", [0, 1])
         with pytest.raises(DataError, match="holds 3 rows but .* holds 2 labels"):
             StreamedDataset(tmp_path / "f.feat", tmp_path / "l.txt")
+
+    def test_wide_blocks_are_bounded_by_bytes(self, tmp_path):
+        d = 1030
+        feats = np.random.default_rng(1).normal(size=(2 * _block_rows(d) + 5, d))
+        write_feature_file(tmp_path / "f.feat", feats, width=32)
+        write_label_file(tmp_path / "l.txt", np.arange(len(feats)) % 3)
+        stream = StreamedDataset(tmp_path / "f.feat", tmp_path / "l.txt")
+        blocks = [block.copy() for block in stream.blocks()]
+        assert [len(b) for b in blocks] == [1018, 1018, 5]
+        assert np.array_equal(np.concatenate(blocks),
+                              feats.astype(np.float32).astype(np.float64))
 
     def test_blocks_read_once(self, tmp_path):
         write_feature_file(tmp_path / "f.feat", np.ones((3, 2)))

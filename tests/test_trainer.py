@@ -4,13 +4,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jointhash.data import BLOCK_ROWS, Dataset, synth_dataset
+from jointhash.data import (
+    BLOCK_ROWS,
+    Dataset,
+    StreamedDataset,
+    synth_dataset,
+    write_feature_file,
+    write_label_file,
+)
 from jointhash.errors import (
     DataError,
     DimensionError,
@@ -25,6 +33,7 @@ from jointhash.model import (
     class_scores,
     logistic,
     pack_codes,
+    predict_labels,
     unpack_codes,
 )
 from jointhash.objective import (
@@ -347,6 +356,54 @@ class TestEncodeBlocks:
         params = init_params(4, 8, 3, seed=0)
         with pytest.raises(DimensionError):
             encode(params, np.zeros((0, 5)))
+
+
+class TestEncodeMemory:
+    """encode_database on a streamed 32-bit feature file holds one float64
+    block, its u and the outputs, and no other array of block size."""
+
+    K, C = 48, 10
+    MiB = 1 << 20
+
+    def traced_encode(self, tmp_path, n, d):
+        feats = np.random.default_rng([n, d]).normal(size=(n, d))
+        write_feature_file(tmp_path / "f.feat", feats, width=32)
+        write_label_file(tmp_path / "l.txt", np.arange(n) % self.C, self.C)
+        params = init_params(d, self.K, self.C, seed=1)
+        stream = StreamedDataset(tmp_path / "f.feat", tmp_path / "l.txt")
+        tracemalloc.start()
+        try:
+            table = encode_database(params, stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = table.codes.nbytes + table.predicted.nbytes + table.ids.nbytes
+        return feats.astype(np.float32).astype(np.float64), params, table, \
+            peak - outputs
+
+    def bound(self, rows, d):
+        # a float64 block and its u, plus a margin for the 1 MiB widening
+        # buffer and the byte-wide (rows, K) arrays of binarize and
+        # pack_codes; one more block-sized array passes it
+        return 8 * rows * (d + self.K) + 3 * self.MiB
+
+    def test_peak_is_one_block_and_its_u(self, tmp_path):
+        _, _, _, peak = self.traced_encode(tmp_path, 2 * BLOCK_ROWS + 3, 128)
+        assert peak < self.bound(BLOCK_ROWS, 128)
+
+    def test_wide_features_peak_independent_of_rows(self, tmp_path):
+        # at D = 1024 a block has 1024 rows (8 MiB), so two sizes of file
+        # peak alike; their bits are those of one 8192-row block
+        peaks = []
+        for n in (1024 + 5, 3 * 1024 + 7):
+            feats, params, table, peak = self.traced_encode(tmp_path, n, 1024)
+            peaks.append(peak)
+            u = feats @ params.hash_weights.T + params.hash_bias
+            assert np.array_equal(table.codes, pack_codes(binarize(u)))
+            assert np.array_equal(table.predicted,
+                                  predict_labels(class_scores(u, params)))
+        assert peaks[0] < self.bound(1024, 1024)
+        assert abs(peaks[1] - peaks[0]) < self.MiB // 16
 
 
 class TestCheckpointIO:
