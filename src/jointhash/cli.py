@@ -322,6 +322,9 @@ def cmd_sweep(opts: dict[str, str]) -> int:
     if not bits_grid or not eta_grid or not beta_grid:
         raise ConfigError("sweep grids must be nonempty")
     train_set, test_set = train_test_split(dataset, 0.2, _parse(opts, "seed"))
+    if not len(test_set):
+        raise DataError(f"{opts['labels']}: every class has one row, so the "
+                        "held-out split is empty")
     out = _outdir(opts)
     rows = []
     for bits in bits_grid:

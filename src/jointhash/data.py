@@ -7,18 +7,18 @@ be "classes=C". 32-bit feature values are widened to float64 on load.
 `write_label_file` refuses, before it writes, any labels that
 `read_label_file` would reject.
 
-Feature files are read in blocks bounded by bytes (`_feature_blocks`), never
-as the whole file of bytes. A block holds `_block_rows(D)` rows: BLOCK_ROWS,
-or fewer when D is so wide that BLOCK_ROWS float64 rows pass _BLOCK_BYTES.
+This module alone decides what a valid label is (`class_indices`, which
+`Dataset`, `StreamedDataset` and the training objective call) and how rows
+are cut into blocks (`_row_ranges`). A block holds `_block_rows(D)` rows:
+BLOCK_ROWS, or fewer when D is so wide that BLOCK_ROWS float64 rows pass
+_BLOCK_BYTES; an empty source gives one empty block, so its width is still
+checked. `row_blocks` cuts an array and `_feature_blocks` a feature file.
 A 64-bit file is read straight into the float64 block; a 32-bit file goes
 through a buffer of at most _WIDEN_BYTES of stored values, widened piece by
 piece into the block. Each block is checked for values that are not finite
-by its min and max, with no (rows, D) mask.
-`read_feature_file` and `load_dataset`, which train, query and sweep use,
-fill the (N, D) float64 matrix from those blocks and hold it.
-`StreamedDataset`, which encode and eval use, holds one block at a time:
-`train.encode_database` hashes each block before the next is read, in the
-row blocks that `train.encode` uses.
+by its min and max, with no (rows, D) mask. A StreamedDataset (encode, eval)
+holds one block at a time; `load_dataset` (train, sweep) gathers its blocks
+into the (N, D) float64 matrix, as `read_feature_file` (query) does.
 """
 
 from __future__ import annotations
@@ -53,18 +53,48 @@ def _block_rows(dim: int) -> int:
     return max(_MIN_BLOCK_ROWS, min(BLOCK_ROWS, _BLOCK_BYTES // (8 * max(dim, 1))))
 
 
+def _row_ranges(n: int, dim: int):
+    """Slices of n D-wide rows, `_block_rows(D)` each (the last shorter);
+    n = 0 gives one empty slice, so an empty source still has a block."""
+    step = _block_rows(dim)
+    return (slice(start, min(start + step, n))
+            for start in range(0, max(n, 1), step))
+
+
+def row_blocks(features: np.ndarray):
+    """Views of the rows of a 2-D array, in the blocks of `_row_ranges`."""
+    return (features[rows] for rows in _row_ranges(len(features),
+                                                   features.shape[-1]))
+
+
 def _all_finite(values: np.ndarray) -> bool:
     # exact with no (N, D) mask: NaN propagates, an infinity is an extreme
     return bool(np.isfinite(values.min(initial=0.0))
                 and np.isfinite(values.max(initial=0.0)))
 
 
-def _check_label_range(labels: np.ndarray, num_classes: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise DataError(
-            f"labels must lie in [0, {num_classes}), "
-            f"got range [{labels.min()}, {labels.max()}]"
-        )
+def class_indices(labels, rows: int, classes: int, error=DataError) -> np.ndarray:
+    """labels as int64, one per row, each an integer in [0, classes); any
+    other labels raise `error`, naming the first bad one."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "c":
+        raise error(f"labels have complex dtype {raw.dtype}; class "
+                    "indices must be integers")
+    if raw.dtype.kind == "f":  # np.errstate costs ~2 µs per training batch
+        with np.errstate(invalid="ignore"):
+            y = raw.astype(np.int64)
+    else:
+        y = raw.astype(np.int64, copy=False)
+    if y.shape != (rows,):
+        raise error(f"labels have shape {y.shape}, expected one "
+                    f"class index per row ({rows})")
+    if raw.dtype.kind == "f" and np.any(y != raw):
+        row = int(np.argmax(y != raw))
+        raise error(f"label {raw[row]} in row {row} is not an integer class index")
+    if rows and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
+        bad = y[(y < 0) | (y >= classes)][0]
+        raise error(f"class index {bad} outside [0, {classes})")
+    return y
 
 
 @dataclass
@@ -77,26 +107,11 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        if labels.dtype.kind == "c":
-            raise DataError(f"labels have complex dtype {labels.dtype}; class "
-                            "indices must be integers")
-        with np.errstate(invalid="ignore"):
-            self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise DataError("features must form an (N, D) matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise DataError(
-                f"{self.labels.shape[0]} labels for {self.features.shape[0]} "
-                "feature rows"
-            )
-        if labels.dtype.kind == "f" and np.any(self.labels != labels):
-            row = int(np.argmax(self.labels != labels))
-            raise DataError(f"label {labels[row]} in row {row} is not an "
-                            "integer class index")
+        self.labels = class_indices(self.labels, len(self.features), self.num_classes)
         if not _all_finite(self.features):
             raise DataError("features contain non-finite values")
-        _check_label_range(self.labels, self.num_classes)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -109,25 +124,26 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
     def blocks(self):
-        """The feature rows in order: in memory, all of them form one block."""
-        return iter((self.features,))
+        """The feature rows in order, as views in `row_blocks`."""
+        return row_blocks(self.features)
 
 
 class StreamedDataset:
     """A feature file and its label file, for one pass over the features.
 
     Construction reads and checks the feature header and the whole label
-    file, as `load_dataset` checks them. The feature values are read only by
-    iterating `blocks()`, once, one block at a time, so the (N, D)
-    matrix is never held.
+    file. The feature values are read only by iterating `blocks()`, once,
+    one block at a time, so the (N, D) matrix is never held.
     """
 
     def __init__(self, feature_path, label_path):
         self._blocks = _feature_blocks(feature_path)
         rows, self.feature_dim = next(self._blocks)
-        self.labels, self.num_classes = _read_labels_for(label_path,
-                                                         feature_path, rows)
-        _check_label_range(self.labels, self.num_classes)
+        labels, self.num_classes = read_label_file(label_path)
+        if len(labels) != rows:
+            raise DataError(f"{feature_path} holds {rows} rows but "
+                            f"{label_path} holds {len(labels)} labels")
+        self.labels = class_indices(labels, rows, self.num_classes)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -162,7 +178,7 @@ def _feature_blocks(path):
     """Read a feature file block by block, checking it as it goes.
 
     Yields the header's (N, D) first, then the rows as float64 (rows, D)
-    arrays of `_block_rows(D)` rows (the last one shorter), in file order.
+    arrays in the blocks of `_row_ranges`, in file order.
     Each block is read into one reused float64 buffer (a 32-bit file through
     a buffer of at most _WIDEN_BYTES, widened piece by piece) and checked for
     non-finite values before it is yielded; the next block overwrites it.
@@ -176,13 +192,12 @@ def _feature_blocks(path):
     with open_binary(path, _FEATURE_HEADER, FEATURE_MAGIC, FEATURE_VERSION,
                      "feature-file", payload) as (fh, (n, d, width)):
         yield n, d
-        step = _block_rows(d)
-        wide = np.empty((min(n, step), d))
+        wide = np.empty((min(n, _block_rows(d)), d))
         dtype = np.dtype("<f4" if width == 32 else "<f8")
         stored = None if dtype == wide.dtype else np.empty(
             max(1, min(wide.size, _WIDEN_BYTES // dtype.itemsize)), dtype)
-        for start in range(0, n, step):
-            block = wide[:min(step, n - start)]
+        for rows in _row_ranges(n, d):
+            block = wide[:rows.stop - rows.start]
             if stored is None:
                 read_into(fh, path, block)
             else:
@@ -191,7 +206,7 @@ def _feature_blocks(path):
                     piece = flat[at:at + stored.size]
                     piece[...] = read_into(fh, path, stored[:piece.size])
             if not _all_finite(block):
-                bad = start * d + int(np.argmin(np.isfinite(block)))
+                bad = rows.start * d + int(np.argmin(np.isfinite(block)))
                 raise DataError(
                     f"{path}: non-finite value at element {bad} "
                     f"(offset {_FEATURE_HEADER.size + bad * width // 8})"
@@ -199,15 +214,18 @@ def _feature_blocks(path):
             yield block
 
 
+def _matrix(blocks, n: int, dim: int) -> np.ndarray:
+    """The (n, D) float64 matrix of a feature file's blocks."""
+    feats = np.empty((n, dim))
+    for block, rows in zip(blocks, _row_ranges(n, dim)):
+        feats[rows] = block
+    return feats
+
+
 def read_feature_file(path) -> np.ndarray:
     """(N, D) float64 features, read and checked one block at a time."""
     blocks = _feature_blocks(path)
-    feats = np.empty(next(blocks))
-    start = 0
-    for block in blocks:
-        feats[start:start + len(block)] = block
-        start += len(block)
-    return feats
+    return _matrix(blocks, *next(blocks))
 
 
 def write_label_file(path, labels: np.ndarray,
@@ -329,22 +347,11 @@ def _parse_label_lines(path, raw: bytes) -> tuple[np.ndarray, int | None]:
     return np.asarray(values, dtype=np.int64), declared
 
 
-def _read_labels_for(label_path, feature_path,
-                     rows: int) -> tuple[np.ndarray, int]:
-    """Labels for the `rows` rows of a feature file, plus the class count."""
-    labels, num_classes = read_label_file(label_path)
-    if labels.shape[0] != rows:
-        raise DataError(
-            f"{feature_path} holds {rows} rows but "
-            f"{label_path} holds {labels.shape[0]} labels"
-        )
-    return labels, num_classes
-
-
 def load_dataset(feature_path, label_path) -> Dataset:
-    features = read_feature_file(feature_path)
-    labels, num_classes = _read_labels_for(label_path, feature_path, len(features))
-    return Dataset(features, labels, num_classes)
+    """A StreamedDataset's rows gathered into one (N, D) matrix."""
+    stream = StreamedDataset(feature_path, label_path)
+    return Dataset(_matrix(stream.blocks(), len(stream), stream.feature_dim),
+                   stream.labels, stream.num_classes)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> tuple[Path, Path]:
@@ -392,10 +399,9 @@ def train_test_split(dataset: Dataset, test_fraction: float,
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
-    for c in range(dataset.num_classes):
+    # classes in ascending order, each present one drawing one permutation
+    for c in np.unique(dataset.labels):
         members = np.flatnonzero(dataset.labels == c)
-        if members.size == 0:
-            continue
         perm = members[rng.permutation(members.size)]
         n_test = int(round(test_fraction * members.size))
         n_test = min(max(n_test, 1), members.size - 1)

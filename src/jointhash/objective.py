@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import class_indices
 from .errors import DimensionError, NumericError
 from .index import U32_MAX
 from .model import (
@@ -158,29 +159,6 @@ def similarity_loss(u: np.ndarray, codes: np.ndarray, labels: np.ndarray,
     return _similarity_loss(*_pair_logits(u), y[:, None] == y[None, :], u - c, beta)
 
 
-def _class_indices(labels, rows: int, classes: int) -> np.ndarray:
-    """labels as int64, one per row, each an integer in [0, classes)."""
-    raw = np.asarray(labels)
-    if raw.dtype.kind == "c":
-        raise DimensionError(f"labels have complex dtype {raw.dtype}; class "
-                             "indices must be integers")
-    if raw.dtype.kind == "f":
-        with np.errstate(invalid="ignore"):
-            y = raw.astype(np.int64)
-    else:
-        y = raw.astype(np.int64, copy=False)
-    if y.shape != (rows,):
-        raise DimensionError(f"labels have shape {y.shape}, expected one "
-                             f"class index per row ({rows})")
-    if raw.dtype.kind == "f" and np.any(y != raw):
-        raise DimensionError(f"label {raw[np.argmax(y != raw)]} is not "
-                             "an integer class index")
-    if rows and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
-        bad = y[(y < 0) | (y >= classes)][0]
-        raise DimensionError(f"class index {bad} outside [0, {classes})")
-    return y
-
-
 def _onehot(y: np.ndarray, classes: int) -> np.ndarray:
     """The (m, classes) bool mask with one True per row, at its class index."""
     return y[:, None] == np.arange(classes)
@@ -198,7 +176,7 @@ def label_loss(distributions: np.ndarray, labels: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
     if t.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    y = _class_indices(labels, t.shape[0], t.shape[1])
+    y = class_indices(labels, t.shape[0], t.shape[1], DimensionError)
     return _label_loss(t, _onehot(y, t.shape[1]))
 
 
@@ -208,7 +186,7 @@ def _forward(features, labels, params: ModelParams, codes) -> _Forward:
         raise ValueError("batch must be nonempty")
     u = affine_hash(f, params)
     b = binarize(u) if codes is None else np.asarray(codes)
-    y = _class_indices(labels, f.shape[0], params.num_classes)
+    y = class_indices(labels, f.shape[0], params.num_classes, DimensionError)
     _codes_match(u, b)
     return _Forward(f, y, u, b, class_scores(u, params),
                     _onehot(y, params.num_classes), y[:, None] == y[None, :],

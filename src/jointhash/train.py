@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import open_binary, read_into, write_binary
-from .data import _block_rows
+from .data import row_blocks
 from .errors import DataError, FormatError, NumericError, TrainingDivergedError
 from .index import CodeTable
 from .model import (
@@ -128,47 +128,42 @@ def train(dataset, config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
     return params, trace
 
 
-def encode(params: ModelParams,
-           features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Packed hash codes (one row per feature row) and predicted labels.
-
-    Rows are hashed `data._block_rows(D)` at a time into preallocated
-    outputs, so the temporaries stay at one block's size. A 1-D feature
-    vector is one row.
-    """
-    f = np.atleast_2d(features)
-    n = f.shape[0]
+def _encode_blocks(params: ModelParams, n: int,
+                   blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Packed codes and predicted labels of n rows given in blocks, in order;
+    each block's u is freed before the next is hashed."""
     codes = np.empty((n, packed_words(params.code_bits)), dtype=np.uint64)
     predicted = np.empty(n, dtype=np.int64)
-    step = _block_rows(f.shape[-1])
-    # an empty input still runs one (empty) block, which checks its width
-    for start in range(0, max(n, 1), step):
-        rows = slice(start, start + step)
-        u = affine_hash(f[rows], params)
+    start = 0
+    for block in blocks:
+        rows = slice(start, start + len(block))
+        u = affine_hash(block, params)
         codes[rows] = pack_codes(binarize(u))
         predicted[rows] = predict_labels(class_scores(u, params))
+        del u
+        start = rows.stop
     return codes, predicted
+
+
+def encode(params: ModelParams,
+           features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed hash codes (one row per feature row) and predicted labels,
+    hashed in `data.row_blocks`. A 1-D feature vector is one row."""
+    f = np.atleast_2d(features)
+    return _encode_blocks(params, len(f), row_blocks(f))
 
 
 def encode_database(params: ModelParams, dataset) -> CodeTable:
     """Hash codes and predicted labels for every item, in dataset order.
 
-    The dataset is a Dataset or a StreamedDataset, and `encode` hashes each
-    block of rows that `dataset.blocks()` gives. A StreamedDataset's blocks
-    are the `data._block_rows(D)` row ranges that `encode` splits an array
-    into, so both give the codes of `encode(params, features)`, bit for bit.
+    The dataset is a Dataset or a StreamedDataset; both give their rows in
+    the blocks that `encode` cuts an array into, so the codes are those of
+    `encode(params, features)`, bit for bit.
     """
-    n = len(dataset)
-    codes = np.empty((n, packed_words(params.code_bits)), dtype=np.uint64)
-    predicted = np.empty(n, dtype=np.int64)
-    start = 0
-    for block in dataset.blocks():
-        rows = slice(start, start + len(block))
-        codes[rows], predicted[rows] = encode(params, block)
-        start = rows.stop
+    codes, predicted = _encode_blocks(params, len(dataset), dataset.blocks())
     return CodeTable(
         codes=codes,
-        ids=np.arange(n, dtype=np.int64),
+        ids=np.arange(len(dataset), dtype=np.int64),
         labels=dataset.labels,
         predicted=predicted,
         code_bits=params.code_bits,

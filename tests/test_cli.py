@@ -658,6 +658,19 @@ class TestSweep:
             assert 0.0 <= float(r["map"]) <= 1.0
             assert 0.0 <= float(r["oa"]) <= 1.0
 
+    def test_empty_held_out_split_is_data_error(self, tmp_path, capsys):
+        # one row per class leaves no row to hold out
+        write_feature_file(tmp_path / "f.feat",
+                           np.random.default_rng(0).normal(size=(3, 4)))
+        write_label_file(tmp_path / "l.txt", [0, 1, 2], 3)
+        assert run("sweep", "--features", tmp_path / "f.feat", "--labels",
+                   tmp_path / "l.txt", "--bits", "8", "--epochs", "1",
+                   "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: {tmp_path / 'l.txt'}: every class has one row, so "
+            "the held-out split is empty"]
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
 
 class TestConfigHandling:
     def test_config_file_supplies_options(self, corpus, tmp_path):

@@ -13,20 +13,22 @@ from jointhash.data import (
     Dataset,
     StreamedDataset,
     _block_rows,
+    _feature_blocks,
     _parse_canonical,
     load_dataset,
     parse_run_config,
     read_feature_file,
     read_label_file,
+    row_blocks,
     save_dataset,
     synth_dataset,
     train_test_split,
     write_feature_file,
     write_label_file,
 )
-from jointhash.errors import ConfigError, DataError, FormatError
+from jointhash.errors import ConfigError, DataError, DimensionError, FormatError
 from jointhash.index import U32_MAX, CodeTable, load_code_table, save_code_table
-from jointhash.objective import Hyperparams
+from jointhash.objective import Hyperparams, label_loss
 from jointhash.train import (
     Checkpoint,
     init_params,
@@ -519,6 +521,14 @@ class TestStreamedDataset:
         assert np.array_equal(np.concatenate(blocks),
                               feats.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_empty_file_gives_one_empty_block(self, tmp_path, width):
+        write_feature_file(tmp_path / "f.feat", np.zeros((0, 7)), width=width)
+        blocks = _feature_blocks(tmp_path / "f.feat")
+        assert next(blocks) == (0, 7)
+        [block] = blocks
+        assert block.shape == (0, 7) and block.dtype == np.float64
+
     def test_blocks_read_once(self, tmp_path):
         write_feature_file(tmp_path / "f.feat", np.ones((3, 2)))
         write_label_file(tmp_path / "l.txt", [0, 1, 0])
@@ -528,10 +538,37 @@ class TestStreamedDataset:
             stream.blocks()
 
 
+class TestDatasetBlocks:
+    @pytest.mark.parametrize("n, d, lengths", [
+        (2 * BLOCK_ROWS + 3, 4, [BLOCK_ROWS, BLOCK_ROWS, 3]),
+        (BLOCK_ROWS, 4, [BLOCK_ROWS]), (2100, 1030, [1018, 1018, 64]),
+        (0, 5, [0])])
+    def test_views_of_block_rows(self, n, d, lengths):
+        # the row cut of a feature file; an empty dataset gives one empty
+        # block, so that encoding it still checks its width
+        ds = Dataset(np.zeros((n, d)), np.zeros(n, dtype=int), num_classes=1)
+        blocks = list(ds.blocks())
+        assert [b.shape for b in blocks] == [(rows, d) for rows in lengths]
+        assert all(np.shares_memory(b, ds.features) or not b.size
+                   for b in blocks)
+        assert [b.shape for b in row_blocks(ds.features)] == \
+            [b.shape for b in blocks]
+
+
 class TestDatasetValidation:
     def test_label_range_checked(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"class index 5 outside \[0, 3\)"):
             Dataset(np.ones((2, 2)), np.array([0, 5]), num_classes=3)
+
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [0.0, 2.5], [0]],
+                             ids=["above", "below", "non_integral", "short"])
+    def test_same_message_as_objective(self, labels):
+        # one check of class indices; the objective raises DimensionError
+        with pytest.raises(DataError) as data_err:
+            Dataset(np.ones((2, 2)), np.array(labels), num_classes=3)
+        with pytest.raises(DimensionError) as loss_err:
+            label_loss(np.full((2, 3), 1.0 / 3.0), np.array(labels))
+        assert str(data_err.value) == str(loss_err.value)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -638,6 +675,17 @@ class TestTrainTestSplit:
         # every original row appears exactly once
         original = {tuple(row) for row in ds.features}
         assert {tuple(row) for row in combined} == original
+
+    def test_declared_class_count_does_not_matter(self):
+        # the split visits the classes present, in ascending order, so a
+        # huge declared count neither costs time nor moves a row
+        labels = np.repeat([0, 3, 4, 9], [5, 2, 7, 3])
+        features = np.random.default_rng(8).normal(size=(len(labels), 3))
+        got = train_test_split(Dataset(features, labels, 10**6), 0.3, seed=2)
+        want = train_test_split(Dataset(features, labels, 10), 0.3, seed=2)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.labels, b.labels)
 
     def test_fraction_bounds(self):
         ds = synth_dataset(2, 4, 3, separation=1.0, seed=6)

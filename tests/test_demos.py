@@ -1,20 +1,15 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Each demo runs and prints what the manifest recorded (see test_golden)."""
+
+import json
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from test_golden import DEMOS, MANIFEST, demo_stdout, environment, sha256
 
 
-@pytest.mark.parametrize("demo", ["retrieval_pipeline.py",
-                                  "hamming_index_basics.py",
-                                  "gradient_verification.py",
-                                  "hyperparameter_study.py"])
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads(MANIFEST.read_text())
+    assert sha256(demo_stdout(demo)) == manifest["demos"][demo], (
+        f"{MANIFEST}: stdout of {demo} differs from the digest recorded with "
+        f"{manifest['environment']}; this build is {environment()}")

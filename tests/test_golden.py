@@ -2,8 +2,11 @@
 
 `tests/golden.json` holds the SHA-256 of each output of `train`, `encode`,
 `eval --database train|all`, `query` (with and without `--radius`),
-`sweep --bits 16,70` and `gradcheck`, and the numpy and BLAS build that made
-them. A change that alters output bytes on purpose rewrites the manifest,
+`sweep --bits 16,70` and `gradcheck`, and of the stdout of each demo (which
+`tests/test_demos.py` checks). It also records the build and the kernel that
+made them: the numpy and BLAS versions, OpenBLAS's core name and numpy's
+enabled dispatch targets, because the last bits of training differ between
+kernels. A change that alters output bytes on purpose rewrites the manifest,
 from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,9 +17,13 @@ and lists each changed digest, and why it changed, in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,12 +38,54 @@ from jointhash.data import (
 )
 
 MANIFEST = Path(__file__).resolve().with_name("golden.json")
+ROOT = MANIFEST.parent.parent
+DEMOS = ("retrieval_pipeline.py", "hamming_index_basics.py",
+         "gradient_verification.py", "hyperparameter_study.py")
+
+
+def _openblas_core() -> str | None:
+    """The kernel OpenBLAS picked (`SkylakeX`, `Haswell`, ...), or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def _cpu_dispatch() -> list[str] | None:
+    """numpy's dispatch targets that this CPU enables, or None."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return None
+    return [name for name in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(name)]
 
 
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
-            "blas": {key: blas.get(key) for key in ("name", "version")}}
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+            "openblas_core": _openblas_core(), "cpu_dispatch": _cpu_dispatch()}
+
+
+def demo_stdout(demo: str) -> str:
+    """A demo's stdout, run from the repository root, with that root's path
+    written as <root>."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.replace(str(ROOT), "<root>")
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def outputs(root: Path) -> dict[str, str]:
@@ -77,7 +126,7 @@ def outputs(root: Path) -> dict[str, str]:
             code = main([str(a) for a in argv])
         assert code == 0, f"{name} exited with {code}"
         text = out.getvalue().replace(str(root), "<root>")
-        digests[f"{name}.stdout"] = hashlib.sha256(text.encode()).hexdigest()
+        digests[f"{name}.stdout"] = sha256(text)
     inputs = {*db, *query, root / "db32.feat"}
     for path in sorted(root.rglob("*")):
         if path.is_file() and path not in inputs:
@@ -99,6 +148,8 @@ def test_outputs_match_manifest(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = {"environment": environment(), "sha256": outputs(Path(tmp))}
+        manifest = {"environment": environment(), "sha256": outputs(Path(tmp)),
+                    "demos": {demo: sha256(demo_stdout(demo)) for demo in DEMOS}}
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(manifest['sha256'])} digests to {MANIFEST}")
+    print(f"wrote {len(manifest['sha256'])} output and {len(DEMOS)} demo "
+          f"digests to {MANIFEST}")
