@@ -13,9 +13,9 @@ are cut into blocks (`_row_ranges`). A block holds `_block_rows(D)` rows:
 BLOCK_ROWS, or fewer when D is so wide that BLOCK_ROWS float64 rows pass
 _BLOCK_BYTES; an empty source gives one empty block, so its width is still
 checked. `row_blocks` cuts an array and `_feature_blocks` a feature file.
-A 64-bit file is read straight into the float64 block; a 32-bit file goes
-through a buffer of at most _WIDEN_BYTES of stored values, widened piece by
-piece into the block. Each block is checked for values that are not finite
+A 64-bit file is read straight into the float64 block; a 32-bit file is read
+into one buffer of stored values of the block's shape and widened into the
+block in one assignment. Each block is checked for values that are not finite
 by its min and max, with no (rows, D) mask. A StreamedDataset (encode, eval)
 holds one block at a time; `load_dataset` (train, sweep) gathers its blocks
 into the (N, D) float64 matrix, as `read_feature_file` (query) does.
@@ -37,15 +37,15 @@ from .index import U32_MAX
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHIIH")
-# rows per block when features are read from disk or hashed into codes, and
-# the float64 bytes a block may take (BLOCK_ROWS rows of D = 128)
+# the most rows per block when features are read from disk or hashed into
+# codes, and the float64 bytes a block may take (1024 rows of D = 128)
 BLOCK_ROWS = 8192
-_BLOCK_BYTES = 8 * BLOCK_ROWS * 128
-# a block never has fewer rows: at 64 rows and up, a wide matrix product gave
-# the bits of an 8192-row block; at 1 or 7 rows it did not
+_BLOCK_BYTES = 1 << 20
+# a block never has fewer rows, however wide D is. Its row count can change
+# the last bits of u (on an AVX-512 host, at 64 rows and at some counts in the
+# hundreds), so encode and encode_database share this one cut; codes and
+# labels matched those of 8192-row blocks at every D 16-8192, K 16-64 tried
 _MIN_BLOCK_ROWS = 64
-# stored bytes of a 32-bit file read at a time, then widened into the block
-_WIDEN_BYTES = 1 << 20
 
 
 def _block_rows(dim: int) -> int:
@@ -180,7 +180,7 @@ def _feature_blocks(path):
     Yields the header's (N, D) first, then the rows as float64 (rows, D)
     arrays in the blocks of `_row_ranges`, in file order.
     Each block is read into one reused float64 buffer (a 32-bit file through
-    a buffer of at most _WIDEN_BYTES, widened piece by piece) and checked for
+    one stored-width buffer of the same shape, then widened) and checked for
     non-finite values before it is yielded; the next block overwrites it.
     """
     def payload(n, d, width):
@@ -194,17 +194,13 @@ def _feature_blocks(path):
         yield n, d
         wide = np.empty((min(n, _block_rows(d)), d))
         dtype = np.dtype("<f4" if width == 32 else "<f8")
-        stored = None if dtype == wide.dtype else np.empty(
-            max(1, min(wide.size, _WIDEN_BYTES // dtype.itemsize)), dtype)
+        stored = None if dtype == wide.dtype else np.empty(wide.shape, dtype)
         for rows in _row_ranges(n, d):
             block = wide[:rows.stop - rows.start]
             if stored is None:
                 read_into(fh, path, block)
             else:
-                flat = block.reshape(-1)
-                for at in range(0, flat.size, stored.size):
-                    piece = flat[at:at + stored.size]
-                    piece[...] = read_into(fh, path, stored[:piece.size])
+                block[...] = read_into(fh, path, stored[:len(block)])
             if not _all_finite(block):
                 bad = rows.start * d + int(np.argmin(np.isfinite(block)))
                 raise DataError(
@@ -397,11 +393,14 @@ def train_test_split(dataset: Dataset, test_fraction: float,
     """Stratified split: the same fraction of every class goes to the test set."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
+    if not len(dataset):
+        raise ValueError("cannot split a dataset with no rows")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
-    # classes in ascending order, each present one drawing one permutation
-    for c in np.unique(dataset.labels):
-        members = np.flatnonzero(dataset.labels == c)
+    # one stable sort: classes ascend, each drawing one permutation of its rows
+    order = np.argsort(dataset.labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(dataset.labels[order])) + 1
+    for members in np.split(order, cuts):
         perm = members[rng.permutation(members.size)]
         n_test = int(round(test_fraction * members.size))
         n_test = min(max(n_test, 1), members.size - 1)

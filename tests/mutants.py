@@ -55,11 +55,11 @@ MUTANTS = [
            ["tests/test_data.py::TestDatasetValidation::"
             "test_non_integral_label_names_row[2.5]"]),
     # feature blocks and encode memory
-    Mutant("block-sized-widening-buffer", "data.py",
-           "max(1, min(wide.size, _WIDEN_BYTES // dtype.itemsize))",
-           "max(1, wide.size)",
+    Mutant("eight-mib-blocks", "data.py", "_BLOCK_BYTES = 1 << 20",
+           "_BLOCK_BYTES = 8 << 20",
            [_MEMORY + "test_peak_is_one_block_and_its_u",
-            _MEMORY + "test_wide_features_peak_independent_of_rows"]),
+            _MEMORY + "test_wide_features_peak_independent_of_rows",
+            _MEMORY + "test_row_floor_sets_the_block_when_very_wide"]),
     Mutant("affine-hash-bias-temporary", "model.py",
            "    u = f @ params.hash_weights.T\n    u += params.hash_bias\n",
            "    u = f @ params.hash_weights.T + params.hash_bias\n",
@@ -90,6 +90,24 @@ MUTANTS = [
            ["tests/test_data.py::TestWriteLabelFile::test_refuses_what_the_reader"
             "_rejects[labels4-None-label 0.5 at index 0 is not an integer in "
             "[0, 4294967295]]"]),
+    # evaluate's per-query pass and the report writers
+    Mutant("radius-hits-searchsorted-right", "metrics.py",
+           "hits = np.searchsorted(hit_ranks, counts)\n",
+           'hits = np.searchsorted(hit_ranks, counts, side="right")\n',
+           ["tests/test_metrics.py::TestPrecisionRecallCurve::"
+            "test_radius_zero_single_match",
+            "tests/test_metrics.py::TestPrecisionRecallCurve::"
+            "test_matches_radius_search_oracle"]),
+    Mutant("no-chunk-separator", "metrics.py",
+           "        if start:\n            fh.write(separator)\n", "",
+           ["tests/test_metrics.py::TestReportWriters::"
+            "test_rows_at_chunk_boundary_match_reference[8193]"]),
+    Mutant("hits-prefix-too-long", "metrics.py",
+           "np.diff(hit_ranks, prepend=0, append=depth)",
+           "np.diff(hit_ranks, prepend=0, append=depth + 1)",
+           ["tests/test_metrics.py::TestEvaluate::test_hand_built_five_item_table",
+            "tests/test_metrics.py::TestEvaluate::"
+            "test_matches_double_loop_oracle[plain-48]"]),
     # ranking after the cut radius
     Mutant("quicksort-within-radius", "index.py",
            'order = rows[np.argsort(d[rows], kind="stable")[:depth]]',

@@ -129,17 +129,19 @@ class TestFeatureFile:
         loaded = read_feature_file(path)
         assert loaded.shape == (0, 4) and loaded.dtype == np.float64
 
-    @pytest.mark.parametrize("d, rows", [(0, BLOCK_ROWS), (64, BLOCK_ROWS),
-                                         (128, BLOCK_ROWS), (129, 8128),
-                                         (1024, 1024), (16384, 64), (10**6, 64)])
+    @pytest.mark.parametrize("d, rows", [(0, BLOCK_ROWS), (16, BLOCK_ROWS),
+                                         (64, 2048), (128, 1024), (129, 1016),
+                                         (1024, 128), (4096, 64), (16384, 64),
+                                         (10**6, 64)])
     def test_block_rows_bounded_by_bytes(self, d, rows):
-        # 8 MiB of float64 per block, BLOCK_ROWS rows at most, 64 at least
+        # 1 MiB of float64 per block, BLOCK_ROWS rows at most, 64 at least
         assert _block_rows(d) == rows
 
     @pytest.mark.parametrize("width", [32, 64])
     def test_block_wider_than_widening_buffer(self, tmp_path, width):
-        # 70 rows of D = 5000 are one block of 350,000 values, which a 32-bit
-        # file widens in two pieces; a NaN in the second piece is named
+        # at D = 5000 the 64-row floor makes a block of 2.4 MiB of float64,
+        # above the 1 MiB budget; 70 rows are two blocks, and a NaN in the
+        # second is named
         d = 5000
         feats = np.random.default_rng(width).normal(size=(70, d))
         feats = feats.astype(np.float32).astype(np.float64)
@@ -517,7 +519,7 @@ class TestStreamedDataset:
         write_label_file(tmp_path / "l.txt", np.arange(len(feats)) % 3)
         stream = StreamedDataset(tmp_path / "f.feat", tmp_path / "l.txt")
         blocks = [block.copy() for block in stream.blocks()]
-        assert [len(b) for b in blocks] == [1018, 1018, 5]
+        assert [len(b) for b in blocks] == [127, 127, 5]
         assert np.array_equal(np.concatenate(blocks),
                               feats.astype(np.float32).astype(np.float64))
 
@@ -541,7 +543,7 @@ class TestStreamedDataset:
 class TestDatasetBlocks:
     @pytest.mark.parametrize("n, d, lengths", [
         (2 * BLOCK_ROWS + 3, 4, [BLOCK_ROWS, BLOCK_ROWS, 3]),
-        (BLOCK_ROWS, 4, [BLOCK_ROWS]), (2100, 1030, [1018, 1018, 64]),
+        (BLOCK_ROWS, 4, [BLOCK_ROWS]), (2100, 1030, [127] * 16 + [68]),
         (0, 5, [0])])
     def test_views_of_block_rows(self, n, d, lengths):
         # the row cut of a feature file; an empty dataset gives one empty
@@ -692,6 +694,39 @@ class TestTrainTestSplit:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 train_test_split(ds, bad, seed=0)
+
+    def test_no_rows_rejected(self):
+        ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), num_classes=2)
+        with pytest.raises(ValueError, match="cannot split a dataset with no rows"):
+            train_test_split(ds, 0.2, seed=0)
+
+    @staticmethod
+    def reference_indices(labels, test_fraction, seed):
+        # the split's row indices as a scan of every label per class found
+        rng = np.random.default_rng(seed)
+        train_idx, test_idx = [], []
+        for c in np.unique(labels):
+            members = np.flatnonzero(labels == c)
+            perm = members[rng.permutation(members.size)]
+            n_test = int(round(test_fraction * members.size))
+            n_test = min(max(n_test, 1), members.size - 1)
+            test_idx.append(perm[:n_test])
+            train_idx.append(perm[n_test:])
+        return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+
+    # classes absent from the labels, classes of one row and data of one
+    # class, in any order of rows
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=40),
+           st.sampled_from([0.1, 0.25, 0.5, 0.9]), st.integers(0, 2**32))
+    def test_equals_scan_per_class(self, labels, test_fraction, seed):
+        labels = np.array(labels)
+        features = np.arange(len(labels), dtype=np.float64)[:, None]
+        got = train_test_split(Dataset(features, labels, 10), test_fraction, seed)
+        want = self.reference_indices(labels, test_fraction, seed)
+        for part, idx in zip(got, want):
+            assert np.array_equal(part.features[:, 0], idx)
+            assert np.array_equal(part.labels, labels[idx])
 
 
 class TestRunConfig:

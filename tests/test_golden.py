@@ -3,15 +3,20 @@
 `tests/golden.json` holds the SHA-256 of each output of `train`, `encode`,
 `eval --database train|all`, `query` (with and without `--radius`),
 `sweep --bits 16,70` and `gradcheck`, and of the stdout of each demo (which
-`tests/test_demos.py` checks). It also records the build and the kernel that
-made them: the numpy and BLAS versions, OpenBLAS's core name and numpy's
-enabled dispatch targets, because the last bits of training differ between
-kernels. A change that alters output bytes on purpose rewrites the manifest,
-from the repository root:
+`tests/test_demos.py` checks). The last bits of training differ between CPU
+kernels, so the output digests come in one set per kernel, each with the
+build and kernel that made it: the numpy and BLAS versions, OpenBLAS's core
+name and numpy's enabled dispatch targets. The test compares the set of the
+running kernel, and fails naming that kernel when no set was recorded for
+it. The demo digests hold on every recorded kernel and form one set. A
+change that alters output bytes on purpose rewrites the manifest, from the
+repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each changed digest, and why it changed, in CHANGES.md.
+which records this host's kernel and, under SIMULATED_KERNELS, an AVX2 host
+without AVX-512, and lists each changed digest, and why it changed, in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ MANIFEST = Path(__file__).resolve().with_name("golden.json")
 ROOT = MANIFEST.parent.parent
 DEMOS = ("retrieval_pipeline.py", "hamming_index_basics.py",
          "gradient_verification.py", "hyperparameter_study.py")
+# environment variables under which the manifest script records more kernels
+SIMULATED_KERNELS = ({"OPENBLAS_CORETYPE": "Haswell",
+                      "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},)
 
 
 def _openblas_core() -> str | None:
@@ -71,6 +79,22 @@ def environment() -> dict:
     return {"numpy": np.__version__,
             "blas": {key: blas.get(key) for key in ("name", "version")},
             "openblas_core": _openblas_core(), "cpu_dispatch": _cpu_dispatch()}
+
+
+def kernel(env: dict) -> dict:
+    """The fields of an environment that pick a digest set."""
+    return {key: env[key] for key in ("openblas_core", "cpu_dispatch")}
+
+
+def digest_set(manifest: dict) -> dict:
+    """The manifest's output digests for the running kernel."""
+    here = kernel(environment())
+    for recorded in manifest["kernels"]:
+        if kernel(recorded["environment"]) == here:
+            return recorded
+    raise AssertionError(
+        f"{MANIFEST}: no digests recorded for this kernel {here}; recorded: "
+        f"{[kernel(r['environment']) for r in manifest['kernels']]}")
 
 
 def demo_stdout(demo: str) -> str:
@@ -136,20 +160,43 @@ def outputs(root: Path) -> dict[str, str]:
 
 
 def test_outputs_match_manifest(tmp_path):
-    manifest = json.loads(MANIFEST.read_text())
+    recorded = digest_set(json.loads(MANIFEST.read_text()))
     got = outputs(tmp_path)
-    want = manifest["sha256"]
+    want = recorded["sha256"]
     changed = sorted(name for name in want.keys() | got.keys()
                      if want.get(name) != got.get(name))
     assert not changed, (
         f"{MANIFEST}: {changed} differ from the digests recorded with "
-        f"{manifest['environment']}; this build is {environment()}")
+        f"{recorded['environment']}; this build is {environment()}")
+
+
+def digests_here() -> dict:
+    """This interpreter's environment and output digests."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {"environment": environment(), "sha256": outputs(Path(tmp))}
+
+
+def recorded_kernel(env_vars: dict) -> dict:
+    """`digests_here` of a fresh interpreter run with env_vars added to this
+    one's environment."""
+    script = "import json, test_golden; print(json.dumps(test_golden.digests_here()))"
+    env = dict(os.environ, **env_vars,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        manifest = {"environment": environment(), "sha256": outputs(Path(tmp)),
-                    "demos": {demo: sha256(demo_stdout(demo)) for demo in DEMOS}}
+    kernels = []
+    for env_vars in ({}, *SIMULATED_KERNELS):
+        recorded = recorded_kernel(env_vars)
+        if kernel(recorded["environment"]) not in [kernel(k["environment"])
+                                                   for k in kernels]:
+            kernels.append(recorded)
+    manifest = {"kernels": kernels,
+                "demos": {demo: sha256(demo_stdout(demo)) for demo in DEMOS}}
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(manifest['sha256'])} output and {len(DEMOS)} demo "
-          f"digests to {MANIFEST}")
+    print(f"wrote {len(kernels)} sets of output digests "
+          f"({[kernel(k['environment']) for k in kernels]}) and "
+          f"{len(DEMOS)} demo digests to {MANIFEST}")

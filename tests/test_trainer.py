@@ -382,18 +382,20 @@ class TestEncodeMemory:
             peak - outputs
 
     def bound(self, rows, d):
-        # a float64 block and its u, plus a margin for the 1 MiB widening
-        # buffer and the byte-wide (rows, K) arrays of binarize and
-        # pack_codes; one more block-sized array passes it
-        return 8 * rows * (d + self.K) + 3 * self.MiB
+        # a float64 block, its float32 buffer and its u, plus a margin for
+        # the byte-wide (rows, K) arrays of binarize and pack_codes and for
+        # small objects; one more u-sized array at D = 128 fails it
+        return 8 * rows * (d + self.K) + 4 * rows * d + 2 * rows * self.K \
+            + self.MiB // 16
 
     def test_peak_is_one_block_and_its_u(self, tmp_path):
         _, _, _, peak = self.traced_encode(tmp_path, 2 * BLOCK_ROWS + 3, 128)
-        assert peak < self.bound(BLOCK_ROWS, 128)
+        assert peak < self.bound(1024, 128)
 
     def test_wide_features_peak_independent_of_rows(self, tmp_path):
-        # at D = 1024 a block has 1024 rows (8 MiB), so two sizes of file
-        # peak alike; their bits are those of one 8192-row block
+        # at D = 1024 a block has 128 rows (1 MiB), so files of 9 and 25
+        # blocks peak alike; their codes and labels are those of one product
+        # over every row
         peaks = []
         for n in (1024 + 5, 3 * 1024 + 7):
             feats, params, table, peak = self.traced_encode(tmp_path, n, 1024)
@@ -402,8 +404,18 @@ class TestEncodeMemory:
             assert np.array_equal(table.codes, pack_codes(binarize(u)))
             assert np.array_equal(table.predicted,
                                   predict_labels(class_scores(u, params)))
-        assert peaks[0] < self.bound(1024, 1024)
+        assert peaks[0] < self.bound(128, 1024)
         assert abs(peaks[1] - peaks[0]) < self.MiB // 16
+
+    def test_row_floor_sets_the_block_when_very_wide(self, tmp_path):
+        # at D = 4096 the 64-row floor gives a 2 MiB block, and its float32
+        # buffer takes 1 MiB
+        feats, params, table, peak = self.traced_encode(tmp_path, 2 * 64 + 5, 4096)
+        u = feats @ params.hash_weights.T + params.hash_bias
+        assert np.array_equal(table.codes, pack_codes(binarize(u)))
+        assert np.array_equal(table.predicted,
+                              predict_labels(class_scores(u, params)))
+        assert peak < self.bound(64, 4096)
 
 
 class TestCheckpointIO:
