@@ -52,7 +52,6 @@ from .model import (
     unpack_codes,
 )
 from .objective import (
-    GradientSet,
     Hyperparams,
     grad_params,
     gradient_check,

@@ -4,11 +4,11 @@ Feature files are binary: magic "FEAT", version u16, N u32, D u32, element
 width u16 (32 or 64), then N*D row-major little-endian IEEE-754 values.
 Label files are plain text with one class index per line; the first line may
 be "classes=C". 32-bit feature values are widened to float64 on load.
-`write_label_file` refuses, before it writes, any labels that
-`read_label_file` would reject.
 
 This module alone decides what a valid label is (`class_indices`, which
-`Dataset`, `StreamedDataset` and the training objective call) and how rows
+`Dataset`, `StreamedDataset`, the training objective and `write_label_file`
+call, so the writer refuses before it writes any labels that
+`read_label_file` would reject) and how rows
 are cut into blocks (`_row_ranges`). A block holds `_block_rows(D)` rows:
 BLOCK_ROWS, or fewer when D is so wide that BLOCK_ROWS float64 rows pass
 _BLOCK_BYTES; an empty source gives one empty block, so its width is still
@@ -74,12 +74,14 @@ def _all_finite(values: np.ndarray) -> bool:
 
 
 def class_indices(labels, rows: int, classes: int, error=DataError) -> np.ndarray:
-    """labels as int64, one per row, each an integer in [0, classes); any
-    other labels raise `error`, naming the first bad one."""
+    """Bool, integer or float labels as int64, one per row, each an integer
+    in [0, classes); any other labels raise `error`, naming the first bad one."""
     raw = np.asarray(labels)
     if raw.dtype.kind == "c":
         raise error(f"labels have complex dtype {raw.dtype}; class "
                     "indices must be integers")
+    if raw.dtype.kind not in "biuf":
+        raise error(f"labels of dtype {raw.dtype} are not integer class indices")
     if raw.dtype.kind == "f":  # np.errstate costs ~2 µs per training batch
         with np.errstate(invalid="ignore"):
             y = raw.astype(np.int64)
@@ -92,7 +94,8 @@ def class_indices(labels, rows: int, classes: int, error=DataError) -> np.ndarra
         row = int(np.argmax(y != raw))
         raise error(f"label {raw[row]} in row {row} is not an integer class index")
     if rows and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
-        bad = y[(y < 0) | (y >= classes)][0]
+        # an unsigned label of 2**63 or more wraps to a negative int64
+        bad = (raw if raw.dtype.kind == "u" else y)[(y < 0) | (y >= classes)][0]
         raise error(f"class index {bad} outside [0, {classes})")
     return y
 
@@ -227,10 +230,10 @@ def read_feature_file(path) -> np.ndarray:
 def write_label_file(path, labels: np.ndarray,
                      num_classes: int | None = None) -> None:
     """Write one label per line, after a "classes=C" line when num_classes
-    is given. What `read_label_file` would reject (no labels, a label that is
-    not an integer in [0, C) and [0, U32_MAX], or C outside [1, U32_MAX])
-    raises DataError naming the first bad value, and path keeps its old
-    contents."""
+    is given. What `read_label_file` would reject (no labels, labels that
+    `class_indices` refuses for C classes, or for 2^32 when C is not given,
+    or C outside [1, U32_MAX]) raises DataError naming the path and the
+    first bad value, and path keeps its old contents."""
     labels = np.asarray(labels)
     if num_classes is not None and not (isinstance(num_classes, (int, np.integer))
                                         and 1 <= num_classes <= U32_MAX):
@@ -239,19 +242,11 @@ def write_label_file(path, labels: np.ndarray,
     if labels.ndim != 1 or not labels.size:
         raise DataError(f"{path}: labels must form a non-empty 1-D array, "
                         f"got shape {labels.shape}")
-    try:
-        values = labels.astype(np.float64, casting="same_kind")
-    except TypeError:
-        raise DataError(f"{path}: labels of dtype {labels.dtype} are not "
-                        "integer class indices") from None
-    top = U32_MAX if num_classes is None else int(num_classes) - 1
-    ok = (values >= 0) & (values <= top) & (values == np.trunc(values))
-    if not ok.all():
-        row = int(np.argmin(ok))
-        raise DataError(f"{path}: label {labels[row].item()!r} at index {row} "
-                        f"is not an integer in [0, {top}]")
-    lines = [] if num_classes is None else [f"classes={top + 1}"]
-    lines.extend(map(str, values.astype(np.int64).tolist()))
+    classes = U32_MAX + 1 if num_classes is None else int(num_classes)
+    y = class_indices(labels, len(labels), classes,
+                      lambda message: DataError(f"{path}: {message}"))
+    lines = [] if num_classes is None else [f"classes={classes}"]
+    lines.extend(map(str, y.tolist()))
     with atomic_open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

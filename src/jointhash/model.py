@@ -10,7 +10,9 @@ Array conventions used throughout the package:
                       bit value 1 meaning +1; trailing pad bits are zero
 * class distribution -- 1-D float64 array of length C, positive, sums to 1
 
-Batched variants stack these along axis 0.
+Batched variants stack these along axis 0. `ModelParams` holds the four
+weight blocks, and `objective.grad_params` returns their gradients as a
+`ModelParams` of the same layout.
 """
 
 from __future__ import annotations
@@ -27,18 +29,25 @@ WORD_BITS = 64
 BLOCK_NAMES = ("hash_weights", "hash_bias", "cls_weights", "cls_bias")
 
 
-class _FlatBlocks:
-    """Base of ModelParams and GradientSet: four blocks in one float64 buffer.
+@dataclass(eq=False)
+class ModelParams:
+    """Hash-layer and classifier weights, or the gradients of the objective.
 
-    The blocks are views of `flat`, laid out in BLOCK_NAMES order, so one
-    operation on `flat` (an SGD step, a finite check) covers all four. The
-    constructor copies its inputs into a new buffer; a copy or a pickle
+    hash_weights: (K, D), hash_bias: (K,), cls_weights: (C, K), cls_bias: (C,),
+    each a view of one float64 vector `flat`, laid out in BLOCK_NAMES order,
+    so one operation on `flat` (an SGD step, a finite check) covers all four.
+    The constructor copies its inputs into a new buffer; a copy or a pickle
     round trip goes back through the constructor, so its blocks are views of
     its own buffer. Write into a block (`params.cls_bias[:] = 0.0`) rather than
     rebinding its attribute: a rebound attribute is no longer part of `flat`.
-    Two instances are equal when they have the same type, the same block
-    shapes and equal `flat` vectors.
+    Two instances are equal when they have the same block shapes and equal
+    `flat` vectors.
     """
+
+    hash_weights: np.ndarray
+    hash_bias: np.ndarray
+    cls_weights: np.ndarray
+    cls_bias: np.ndarray
 
     def __post_init__(self):
         blocks = [np.asarray(getattr(self, name), dtype=np.float64)
@@ -48,10 +57,32 @@ class _FlatBlocks:
             layout.append((name, slice(start, start + block.size), block.shape))
             start += block.size
         self._bind(np.concatenate([b.ravel() for b in blocks]), tuple(layout))
+        if self.hash_weights.ndim != 2 or self.cls_weights.ndim != 2:
+            raise DimensionError("weight blocks must be 2-D")
+        k, _ = self.hash_weights.shape
+        c, k2 = self.cls_weights.shape
+        if c == 0:
+            raise DimensionError("classifier has no classes")
+        if self.hash_bias.shape != (k,):
+            raise DimensionError(
+                f"hash bias has shape {self.hash_bias.shape}, expected ({k},)"
+            )
+        if k2 != k:
+            raise DimensionError(
+                f"classifier expects {k2}-bit input but hash layer emits {k} bits"
+            )
+        if self.cls_bias.shape != (c,):
+            raise DimensionError(
+                f"classifier bias has shape {self.cls_bias.shape}, expected ({c},)"
+            )
+        bad = self._nonfinite_block()
+        if bad is not None:
+            raise NumericError(f"non-finite values in parameter block {bad!r}")
 
     @classmethod
-    def _like(cls, other: "_FlatBlocks"):
-        """An instance with other's block shapes and an uninitialised buffer."""
+    def _like(cls, other: ModelParams) -> ModelParams:
+        """An instance with other's block shapes and an uninitialised buffer,
+        such as the gradients of other."""
         new = cls.__new__(cls)
         new._bind(np.empty_like(other.flat), other._layout)
         return new
@@ -82,44 +113,6 @@ class _FlatBlocks:
             return NotImplemented
         # equal layouts mean equal block shapes
         return self._layout == other._layout and np.array_equal(self.flat, other.flat)
-
-
-@dataclass(eq=False)
-class ModelParams(_FlatBlocks):
-    """Hash-layer and classifier weights.
-
-    hash_weights: (K, D), hash_bias: (K,), cls_weights: (C, K), cls_bias: (C,),
-    each a view of the parameter vector `flat`.
-    """
-
-    hash_weights: np.ndarray
-    hash_bias: np.ndarray
-    cls_weights: np.ndarray
-    cls_bias: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.hash_weights.ndim != 2 or self.cls_weights.ndim != 2:
-            raise DimensionError("weight blocks must be 2-D")
-        k, _ = self.hash_weights.shape
-        c, k2 = self.cls_weights.shape
-        if c == 0:
-            raise DimensionError("classifier has no classes")
-        if self.hash_bias.shape != (k,):
-            raise DimensionError(
-                f"hash bias has shape {self.hash_bias.shape}, expected ({k},)"
-            )
-        if k2 != k:
-            raise DimensionError(
-                f"classifier expects {k2}-bit input but hash layer emits {k} bits"
-            )
-        if self.cls_bias.shape != (c,):
-            raise DimensionError(
-                f"classifier bias has shape {self.cls_bias.shape}, expected ({c},)"
-            )
-        bad = self._nonfinite_block()
-        if bad is not None:
-            raise NumericError(f"non-finite values in parameter block {bad!r}")
 
     @property
     def code_bits(self) -> int:

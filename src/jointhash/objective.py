@@ -29,7 +29,6 @@ from .index import U32_MAX
 from .model import (
     ModelParams,
     _exp_neg_abs,
-    _FlatBlocks,
     _logistic,
     affine_hash,
     binarize,
@@ -70,17 +69,6 @@ class Hyperparams:
             if getattr(self, name) > U32_MAX:
                 raise ValueError(f"{name} must be <= {U32_MAX}, "
                                  f"got {getattr(self, name)}")
-
-
-@dataclass(eq=False)
-class GradientSet(_FlatBlocks):
-    """Gradients of the objective, shaped like ModelParams and laid out like
-    its `flat` vector."""
-
-    hash_weights: np.ndarray
-    hash_bias: np.ndarray
-    cls_weights: np.ndarray
-    cls_bias: np.ndarray
 
 
 # one batch's forward pass: features, class indices, u, codes, class scores,
@@ -213,7 +201,7 @@ def total_loss(features: np.ndarray, labels: np.ndarray, params: ModelParams,
 
 
 def _du(fw: _Forward, params: ModelParams,
-        hyper: Hyperparams) -> tuple[np.ndarray, GradientSet]:
+        hyper: Hyperparams) -> tuple[np.ndarray, ModelParams]:
     """Backward pass over fw: dJ/du_i for every sample and the block gradients."""
     u = fw.u
     m = u.shape[0]
@@ -233,7 +221,7 @@ def _du(fw: _Forward, params: ModelParams,
     du *= hyper.eta  # eta * dL_sim/du + dL_label/du
     du += g @ params.cls_weights
 
-    grads = GradientSet._like(params)
+    grads = ModelParams._like(params)
     np.matmul(du.T, fw.f, out=grads.hash_weights)
     np.add.reduce(du, axis=0, out=grads.hash_bias)
     np.matmul(g.T, u, out=grads.cls_weights)
@@ -242,7 +230,7 @@ def _du(fw: _Forward, params: ModelParams,
 
 
 def grad_params(parts: LossParts, params: ModelParams,
-                hyper: Hyperparams) -> GradientSet:
+                hyper: Hyperparams) -> ModelParams:
     """Backward pass over parts' batch, at the params loss_parts ran with."""
     grads = _du(parts.forward, params, hyper)[1]
     bad = grads._nonfinite_block()

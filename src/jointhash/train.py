@@ -27,7 +27,7 @@ from .model import (
     packed_words,
     predict_labels,
 )
-from .objective import GradientSet, Hyperparams, grad_params, loss_parts
+from .objective import Hyperparams, grad_params, loss_parts
 
 INIT_STREAM = 2**64 - 1
 INIT_SCALE = 0.01
@@ -83,7 +83,7 @@ def init_params(feature_dim: int, code_bits: int, num_classes: int,
     )
 
 
-def sgd_step(params: ModelParams, grads: GradientSet, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One in-place descent step on all four parameter blocks."""
     params.flat -= lr * grads.flat
     return params

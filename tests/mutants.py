@@ -32,6 +32,7 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 
 _MEMORY = "tests/test_trainer.py::TestEncodeMemory::"
 _CANONICAL = "tests/test_data.py::test_other_label_files_go_line_by_line"
+_LABEL_RULE = "tests/test_data.py::TestOneLabelRule::"
 
 MUTANTS = [
     # the one block loop of encode and encode_database, and the one check of
@@ -49,6 +50,17 @@ MUTANTS = [
            ["tests/test_trainer.py::TestEncodeBlocks::test_width_checked_when_empty",
             "tests/test_data.py::TestStreamedDataset::"
             "test_empty_file_gives_one_empty_block[32]"]),
+    Mutant("label-dtype-gate", "data.py",
+           '    if raw.dtype.kind not in "biuf":\n', "    if False:\n",
+           [_LABEL_RULE + "test_dataset_raises_data_error[integer_strings]",
+            _LABEL_RULE + "test_objective_raises_dimension_error[none]",
+            _LABEL_RULE + "test_writer_raises_data_error_and_keeps_the_file"
+            "[float_strings]"]),
+    Mutant("unsigned-label-wrap", "data.py",
+           '(raw if raw.dtype.kind == "u" else y)', "y",
+           [_LABEL_RULE + "test_dataset_raises_data_error[uint64_wraps_int64]",
+            _LABEL_RULE + "test_writer_raises_data_error_and_keeps_the_file"
+            "[uint64_max]"]),
     Mutant("non-integral-label-without-row", "data.py",
            'f"label {raw[row]} in row {row} is not an integer class index"',
            'f"label {raw[row]} is not an integer class index"',
@@ -69,7 +81,7 @@ MUTANTS = [
            ["tests/test_data.py::TestFeatureFile::"
             "test_non_finite_in_later_block_names_first[32]",
             "tests/test_cli.py::TestStreamingEncode::test_nan_in_second_block[64]"]),
-    # the canonical label parser and the label writer
+    # the canonical label parser
     Mutant("canonical-no-range-check", "data.py",
            "    if labels.max() > top:\n        return None\n", "",
            ["tests/test_data.py::TestLabelFile::test_out_of_range_names_line",
@@ -85,11 +97,6 @@ MUTANTS = [
            "if lengths.min() < 1 or lengths.max() > 10:",
            "if lengths.max() > 10:",
            [_CANONICAL + "[blank]", _CANONICAL + "[newline]"]),
-    Mutant("writer-no-integer-check", "data.py",
-           "& (values == np.trunc(values))", "",
-           ["tests/test_data.py::TestWriteLabelFile::test_refuses_what_the_reader"
-            "_rejects[labels4-None-label 0.5 at index 0 is not an integer in "
-            "[0, 4294967295]]"]),
     # evaluate's per-query pass and the report writers
     Mutant("radius-hits-searchsorted-right", "metrics.py",
            "hits = np.searchsorted(hit_ranks, counts)\n",
@@ -133,6 +140,13 @@ MUTANTS = [
            "if not (math.isfinite(h) and h > 0):",
            "if not (math.isfinite(h) and h >= 0):",
            ["tests/test_objective.py::TestFiniteDiffCheck::test_rejects_bad_step"]),
+    # the pair logits that the loss and the backward pass share
+    Mutant("pair-logits-einsum", "objective.py",
+           "    x = 0.5 * (u @ u.T)\n", '    x = 0.5 * np.einsum("ik,jk->ij", u, u)\n',
+           ["tests/test_objective.py::TestFusedStep::"
+            "test_forward_holds_pair_logits_and_backward_keeps_them",
+            "tests/test_trainer.py::TestFusedStep::"
+            "test_bitwise_equal_to_two_pass_step_at_acceptance_shape[0.2]"]),
     # one per oracle: finite differences, brute-force ranking, mpmath
     Mutant("oracle-finite-differences", "objective.py",
            "    du = mism @ u\n    du *= 0.5\n", "    du = mism @ u\n    du *= 0.25\n",

@@ -15,6 +15,7 @@ from jointhash.data import (
     _block_rows,
     _feature_blocks,
     _parse_canonical,
+    class_indices,
     load_dataset,
     parse_run_config,
     read_feature_file,
@@ -28,7 +29,7 @@ from jointhash.data import (
 )
 from jointhash.errors import ConfigError, DataError, DimensionError, FormatError
 from jointhash.index import U32_MAX, CodeTable, load_code_table, save_code_table
-from jointhash.objective import Hyperparams, label_loss
+from jointhash.objective import Hyperparams, label_loss, loss_parts
 from jointhash.train import (
     Checkpoint,
     init_params,
@@ -401,14 +402,12 @@ def test_other_label_files_go_line_by_line(raw):
 
 class TestWriteLabelFile:
     @pytest.mark.parametrize("labels, classes, message", [
-        ([0, 5], 3, "label 5 at index 1 is not an integer in [0, 2]"),
-        ([0, -1], None, f"label -1 at index 1 is not an integer in [0, {U32_MAX}]"),
-        ([2**32], None, f"label {2**32} at index 0 is not an integer in "
-                        f"[0, {U32_MAX}]"),
+        ([0, 5], 3, "class index 5 outside [0, 3)"),
+        ([0, -1], None, f"class index -1 outside [0, {U32_MAX + 1})"),
+        ([2**32], None, f"class index {2**32} outside [0, {U32_MAX + 1})"),
         ([2**70], None, "labels of dtype object are not integer class indices"),
-        ([0.5, 1.0], None, f"label 0.5 at index 0 is not an integer in "
-                           f"[0, {U32_MAX}]"),
-        ([1.0, np.nan], 3, "label nan at index 1 is not an integer in [0, 2]"),
+        ([0.5, 1.0], None, "label 0.5 in row 0 is not an integer class index"),
+        ([1.0, np.nan], 3, "label nan in row 1 is not an integer class index"),
         (np.zeros(0, np.int64), 4,
          "labels must form a non-empty 1-D array, got shape (0,)"),
         ([0], 0, f"class count must be an integer in [1, {U32_MAX}], got 0"),
@@ -435,15 +434,23 @@ class TestWriteLabelFile:
         assert (tmp_path / "b.txt").read_text() == f"{U32_MAX}\n"
 
     def test_written_files_read_back(self, tmp_path_factory):
-        # a file is written exactly when the reader accepts its labels
+        # a file is written exactly when class_indices accepts its labels,
+        # and the reader reads them back equal
         path = tmp_path_factory.mktemp("labels") / "labels.txt"
         label = st.one_of(st.integers(-2, 2**33), st.floats(-2, 20),
-                          st.sampled_from([np.nan, np.inf, -np.inf]))
+                          st.sampled_from([np.nan, np.inf, -np.inf]),
+                          st.integers(2**63, 2**64 - 1), st.booleans(),
+                          st.integers(0, 12).map(str))
 
         def readable(labels, classes):
-            top = U32_MAX if classes is None else classes - 1
-            return bool(labels) and top >= 0 and all(
-                np.isfinite(v) and v == int(v) and 0 <= v <= top for v in labels)
+            if not labels or classes is not None and classes < 1:
+                return False
+            try:
+                class_indices(labels, len(labels),
+                              U32_MAX + 1 if classes is None else classes)
+            except DataError:
+                return False
+            return True
 
         @settings(max_examples=60, derandomize=True, deadline=None,
                   database=None)
@@ -612,6 +619,80 @@ class TestDatasetValidation:
         ds = Dataset(np.ones((3, 2)), np.array([0.0, 2.0, 1.0]), num_classes=3)
         assert ds.labels.dtype == np.int64
         assert ds.labels.tolist() == [0, 2, 1]
+
+
+# labels for two rows of C = 3 classes that class_indices refuses, with its
+# message, and labels it accepts, with the class indices they give
+_REFUSED_LABELS = [
+    pytest.param(["1.5", "0"], "labels of dtype <U3 are not integer class indices",
+                 id="float_strings"),
+    pytest.param(["a", "0"], "labels of dtype <U1 are not integer class indices",
+                 id="word"),
+    pytest.param([1, None], "labels of dtype object are not integer class indices",
+                 id="none"),
+    pytest.param(["1", "2"], "labels of dtype <U1 are not integer class indices",
+                 id="integer_strings"),
+    pytest.param([b"1", b"0"], "labels of dtype |S1 are not integer class indices",
+                 id="bytes"),
+    pytest.param(np.array([2**63, 0], np.uint64),
+                 f"class index {2**63} outside [0, 3)", id="uint64_wraps_int64"),
+    pytest.param(np.array([0, 2**64 - 1], np.uint64),
+                 f"class index {2**64 - 1} outside [0, 3)", id="uint64_max"),
+    pytest.param(np.array([0, 3], np.uint32), "class index 3 outside [0, 3)",
+                 id="uint32_above"),
+]
+_ACCEPTED_LABELS = [
+    pytest.param(np.array([2, 0], np.uint32), [2, 0], id="uint32"),
+    pytest.param(np.array([1, 2], np.uint64), [1, 2], id="uint64"),
+    pytest.param(np.array([True, False]), [1, 0], id="bool"),
+]
+
+
+class TestOneLabelRule:
+    """`class_indices` judges labels for every entry point, and each raises
+    its own typed error with that one message."""
+
+    @pytest.mark.parametrize("labels, message", _REFUSED_LABELS)
+    def test_dataset_raises_data_error(self, labels, message):
+        with pytest.raises(DataError) as err:
+            Dataset(np.ones((2, 2)), labels, num_classes=3)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("labels, message", _REFUSED_LABELS)
+    def test_objective_raises_dimension_error(self, labels, message):
+        params = init_params(2, 4, 3, seed=0)
+        with pytest.raises(DimensionError) as err:
+            loss_parts(np.ones((2, 2)), labels, params, Hyperparams())
+        assert str(err.value) == message
+        with pytest.raises(DimensionError) as err:
+            label_loss(np.full((2, 3), 1.0 / 3.0), labels)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("labels, message", _REFUSED_LABELS)
+    def test_writer_raises_data_error_and_keeps_the_file(self, tmp_path, labels,
+                                                         message):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"old")
+        with pytest.raises(DataError) as err:
+            write_label_file(path, labels, 3)
+        assert str(err.value) == f"{path}: {message}"
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["labels.txt"]
+
+    @pytest.mark.parametrize("labels, indices", _ACCEPTED_LABELS)
+    def test_every_entry_point_accepts(self, tmp_path, labels, indices):
+        assert Dataset(np.ones((2, 2)), labels, 3).labels.tolist() == indices
+        params, hyper = init_params(2, 4, 3, seed=0), Hyperparams()
+        assert loss_parts(np.ones((2, 2)), labels, params, hyper) == \
+            loss_parts(np.ones((2, 2)), np.array(indices), params, hyper)
+        assert label_loss(np.full((2, 3), 1.0 / 3.0), labels) == \
+            label_loss(np.full((2, 3), 1.0 / 3.0), np.array(indices))
+        write_label_file(tmp_path / "labels.txt", labels, 3)
+        assert read_label_file(tmp_path / "labels.txt")[0].tolist() == indices
+
+    def test_int64_labels_are_not_copied(self):
+        labels = np.array([2, 0, 1])
+        assert class_indices(labels, 3, 3) is labels
 
 
 class TestSynthDataset:

@@ -18,7 +18,7 @@ from jointhash.model import (
     predict_labels,
     unpack_codes,
 )
-from jointhash.objective import GradientSet
+from jointhash.objective import Hyperparams, grad_params, loss_parts
 
 
 def make_params(k=2, d=2, c=3, seed=0):
@@ -258,9 +258,12 @@ class TestPacking:
 
 
 def make_grads(k=2, d=2, c=3, seed=9):
+    """The gradients of a real backward pass, a ModelParams as params are."""
+    params = make_params(k, d, c, seed)
     rng = np.random.default_rng(seed)
-    return GradientSet(rng.normal(size=(k, d)), rng.normal(size=k),
-                       rng.normal(size=(c, k)), rng.normal(size=c))
+    features, labels = rng.normal(size=(4, d)), rng.integers(0, c, 4)
+    hyper = Hyperparams()
+    return grad_params(loss_parts(features, labels, params, hyper), params, hyper)
 
 
 def assert_views_of_flat(obj):
@@ -274,7 +277,7 @@ def assert_views_of_flat(obj):
 
 
 @pytest.mark.parametrize("make", [make_params, make_grads],
-                         ids=["ModelParams", "GradientSet"])
+                         ids=["ModelParams", "grad_params"])
 class TestFlatBuffer:
     def test_blocks_are_views_of_flat(self, make):
         obj = make(k=3, d=4, c=2)
@@ -324,8 +327,7 @@ def test_classifier_without_classes_rejected():
         ModelParams(np.zeros((2, 3)), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
 
 
-@pytest.mark.parametrize("make", [make_params, make_grads],
-                         ids=["ModelParams", "GradientSet"])
+@pytest.mark.parametrize("make", [make_params], ids=["ModelParams"])
 class TestEquality:
     def test_equal_blocks_compare_equal(self, make):
         a, b = make(k=3, d=4, c=2), make(k=3, d=4, c=2)
@@ -346,10 +348,3 @@ class TestEquality:
                     flat[4:10].reshape(3, 2), flat[10:])
         assert np.array_equal(a.flat, b.flat)
         assert a != b
-
-
-def test_params_and_gradients_never_compare_equal():
-    params = make_params()
-    grads = GradientSet(**params.blocks())
-    assert np.array_equal(params.flat, grads.flat)
-    assert params != grads and grads != params

@@ -37,7 +37,6 @@ from jointhash.model import (
     unpack_codes,
 )
 from jointhash.objective import (
-    GradientSet,
     Hyperparams,
     label_loss,
     similarity_loss,
@@ -74,7 +73,7 @@ class TestSgdStep:
         rng = np.random.default_rng(0)
         params = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=3),
                              rng.normal(size=(2, 3)), rng.normal(size=2))
-        zeros = GradientSet(np.zeros((3, 4)), np.zeros(3), np.zeros((2, 3)),
+        zeros = ModelParams(np.zeros((3, 4)), np.zeros(3), np.zeros((2, 3)),
                             np.zeros(2))
         return params, zeros
 
@@ -88,7 +87,7 @@ class TestSgdStep:
     def test_zero_lr_noop(self):
         params, _ = self.make()
         rng = np.random.default_rng(2)
-        grads = GradientSet(rng.normal(size=(3, 4)), rng.normal(size=3),
+        grads = ModelParams(rng.normal(size=(3, 4)), rng.normal(size=3),
                             rng.normal(size=(2, 3)), rng.normal(size=2))
         before = copy.deepcopy(params)
         sgd_step(params, grads, lr=0.0)
@@ -104,7 +103,7 @@ class TestSgdStep:
         def toy(p):
             return sum(float(np.sum(b**2)) for b in p.blocks().values()) / 2
 
-        grads = GradientSet(params.hash_weights.copy(),
+        grads = ModelParams(params.hash_weights.copy(),
                             params.hash_bias.copy(),
                             params.cls_weights.copy(),
                             params.cls_bias.copy())
@@ -118,7 +117,7 @@ class TestSgdStep:
 
     def test_step_on_copy_moves_only_the_copy(self):
         params, _ = self.make()
-        grads = GradientSet(np.ones((3, 4)), np.ones(3), np.ones((2, 3)),
+        grads = ModelParams(np.ones((3, 4)), np.ones(3), np.ones((2, 3)),
                             np.ones(2))
         before = params.flat.copy()
         moved = sgd_step(copy.deepcopy(params), grads, lr=0.5)
@@ -225,7 +224,7 @@ def two_pass_train(dataset, hyper):
             np.fill_diagonal(mism, 0.0)
             du = (eta * (0.5 * (mism @ u) + 2.0 * beta * (u - b))
                   + g @ params.cls_weights)
-            sgd_step(params, GradientSet(du.T @ f, du.sum(axis=0), g.T @ u,
+            sgd_step(params, ModelParams(du.T @ f, du.sum(axis=0), g.T @ u,
                                          g.sum(axis=0)), hyper.lr)
         trace.append(EpochStats(
             epoch=epoch + 1,
