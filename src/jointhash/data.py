@@ -73,10 +73,18 @@ def _all_finite(values: np.ndarray) -> bool:
                 and np.isfinite(values.max(initial=0.0)))
 
 
+def _label_array(labels, error) -> np.ndarray:
+    try:
+        return np.asarray(labels)
+    except ValueError:  # numpy refuses ragged nested sequences
+        raise error("labels have a ragged shape, not one class index per "
+                    "row") from None
+
+
 def class_indices(labels, rows: int, classes: int, error=DataError) -> np.ndarray:
     """Bool, integer or float labels as int64, one per row, each an integer
     in [0, classes); any other labels raise `error`, naming the first bad one."""
-    raw = np.asarray(labels)
+    raw = _label_array(labels, error)
     if raw.dtype.kind == "c":
         raise error(f"labels have complex dtype {raw.dtype}; class "
                     "indices must be integers")
@@ -92,6 +100,9 @@ def class_indices(labels, rows: int, classes: int, error=DataError) -> np.ndarra
                     f"class index per row ({rows})")
     if raw.dtype.kind == "f" and np.any(y != raw):
         row = int(np.argmax(y != raw))
+        if raw[row] == np.floor(raw[row]) and np.isfinite(raw[row]):
+            # an integral float beyond int64 has no exact int64 cast
+            raise error(f"class index {raw[row]} outside [0, {classes})")
         raise error(f"label {raw[row]} in row {row} is not an integer class index")
     if rows and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= classes):
         # an unsigned label of 2**63 or more wraps to a negative int64
@@ -234,17 +245,19 @@ def write_label_file(path, labels: np.ndarray,
     `class_indices` refuses for C classes, or for 2^32 when C is not given,
     or C outside [1, U32_MAX]) raises DataError naming the path and the
     first bad value, and path keeps its old contents."""
-    labels = np.asarray(labels)
+    def fail(message):
+        return DataError(f"{path}: {message}")
+
+    labels = _label_array(labels, fail)
     if num_classes is not None and not (isinstance(num_classes, (int, np.integer))
                                         and 1 <= num_classes <= U32_MAX):
-        raise DataError(f"{path}: class count must be an integer in "
-                        f"[1, {U32_MAX}], got {num_classes!r}")
+        raise fail(f"class count must be an integer in [1, {U32_MAX}], "
+                   f"got {num_classes!r}")
     if labels.ndim != 1 or not labels.size:
-        raise DataError(f"{path}: labels must form a non-empty 1-D array, "
-                        f"got shape {labels.shape}")
+        raise fail(f"labels must form a non-empty 1-D array, got shape "
+                   f"{labels.shape}")
     classes = U32_MAX + 1 if num_classes is None else int(num_classes)
-    y = class_indices(labels, len(labels), classes,
-                      lambda message: DataError(f"{path}: {message}"))
+    y = class_indices(labels, len(labels), classes, fail)
     lines = [] if num_classes is None else [f"classes={classes}"]
     lines.extend(map(str, y.tolist()))
     with atomic_open(path, "w") as fh:

@@ -117,11 +117,46 @@ def _table_rows(table: CodeTable, ids: np.ndarray) -> np.ndarray:
     return sorter[first]
 
 
-def _hits_prefix(hit_ranks: np.ndarray, depth: int) -> np.ndarray:
-    """Hits within the first 1..depth ranks, as exact float64 counts."""
-    run_lengths = np.diff(hit_ranks, prepend=0, append=depth)
-    return np.repeat(np.arange(hit_ranks.size + 1, dtype=np.float64),
-                     run_lengths)
+# The shared tail is summed this many ranks by at most this many queries at a
+# time: a block of quotients stays within 1 MiB.
+_TAIL_COLUMNS = 512
+_TAIL_ROWS = 255
+
+
+def _add_tail(prec_sum: np.ndarray, rec_sum: np.ndarray, relevant: np.ndarray,
+              start: int, stop: int, k_float: np.ndarray) -> None:
+    """Add the terms, on ranks [start, stop), of queries that are all at or
+    past their last hit there; relevant holds their hit counts R in query
+    order.
+
+    Nothing has been added on those ranks yet. Each query adds R/k to
+    precision and exactly 1.0 to recall, so rec_sum is a count and prec_sum a
+    sum in query order. Queries of one label mostly share R, so a group's
+    distinct R are divided once per block and gathered into query order,
+    under a first row that carries the sum of the groups before. numpy
+    reduces a block of two or more columns along axis 0 one row after
+    another. It would sum one column pairwise, so a lone rank is reduced with
+    its right neighbour (k_float runs one rank past the table) and the
+    neighbour's sum dropped.
+    """
+    if relevant.size == 0:
+        return
+    rec_sum[start:stop] = relevant.size
+    groups = []
+    for first in range(0, relevant.size, _TAIL_ROWS):
+        values, picks = np.unique(relevant[first:first + _TAIL_ROWS],
+                                  return_inverse=True)
+        groups.append((values[:, None], np.concatenate(([0], picks + 1))))
+    for lo in range(start, stop, _TAIL_COLUMNS):
+        hi = min(lo + _TAIL_COLUMNS, stop)
+        k = k_float[lo:max(hi, lo + 2)]
+        total = 0.0
+        for values, picks in groups:
+            quotients = np.empty((values.shape[0] + 1, k.size))
+            quotients[0] = total
+            np.divide(values, k, out=quotients[1:])
+            total = np.add.reduce(quotients[picks], axis=0)
+        prec_sum[lo:hi] = total[:hi - lo]
 
 
 @dataclass
@@ -223,6 +258,16 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     kept until its last query. Leave-one-out is applied to that shared
     ranking per query, and every sum accumulates in query order, so the
     report's bytes are those of ranking each query on its own.
+
+    A query's precision@k and recall@k terms are +0.0 before its first hit,
+    and adding them changes no sum, so they are skipped. From its last hit
+    on they are R/k and exactly 1.0, R its hit count. Ranks from the
+    frontier, the latest last hit so far, are at or past every earlier
+    query's last hit, so they wait. A query whose last hit lies beyond the frontier
+    first moves it there, summing the waiting ranks it passes for the
+    earlier queries (`_add_tail`), then adds its own terms from its first
+    hit to the frontier. The ranks from the final frontier on are summed
+    once at the end.
     """
     query_codes = np.atleast_2d(np.asarray(query_codes, dtype=np.uint64))
     query_labels = np.asarray(query_labels)
@@ -243,8 +288,9 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     depth = len(table) - (0 if exclude_ids is None else 1)
     ks = np.arange(1, depth + 1)
     # float64 operands divide exactly as the integer counts would, and the
-    # quotients go through one reused buffer
-    k_float = ks.astype(np.float64)
+    # quotients go through one reused buffer; k_float runs one rank past
+    # depth for _add_tail
+    k_float = np.arange(1, depth + 2, dtype=np.float64)
     quotient = np.empty(ks.size)
 
     codes, code_of = np.unique(query_codes, axis=0, return_inverse=True)
@@ -268,6 +314,11 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     pr_rec_sum = np.zeros(table.code_bits + 1)
     vacuous_counts = np.zeros(table.code_bits + 1, dtype=np.int64)
     zero_relevant = 0
+    # ranks from the frontier on are at or past every kept query's last hit;
+    # the kept queries are those with hits, relevant[:kept] their hit counts
+    frontier = 0
+    relevant = np.empty(nq)
+    kept = 0
 
     for q, (c, key) in enumerate(zip(code_of, label_of)):
         if c not in ranked:
@@ -276,17 +327,30 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
         code = ranked.pop(c) if last_query[c] == q else ranked[c]
         hit_ranks, curve = _query_pass(
             code, key, None if exclude_rows is None else exclude_rows[q])
-        total_relevant = hit_ranks.size
-        if total_relevant == 0:
-            zero_relevant += 1
         aps[q] = _average_precision(hit_ranks)
-        hits_at = _hits_prefix(hit_ranks, depth)
-        prec_sum += np.divide(hits_at, k_float, out=quotient)
-        if total_relevant > 0:
-            rec_sum += np.divide(hits_at, total_relevant, out=quotient)
         pr_prec_sum += curve.precision
         pr_rec_sum += curve.recall
         vacuous_counts += curve.vacuous
+        total_relevant = hit_ranks.size
+        if total_relevant == 0:
+            zero_relevant += 1
+            continue
+        # before its first hit a query adds +0.0, which changes no sum
+        first, last = int(hit_ranks[0]), int(hit_ranks[-1])
+        if last > frontier:
+            _add_tail(prec_sum, rec_sum, relevant[:kept], frontier, last,
+                      k_float)
+            frontier = last
+        hits_at = np.repeat(np.arange(1, total_relevant + 1, dtype=np.float64),
+                            np.diff(hit_ranks, append=frontier))
+        span = slice(first, frontier)
+        prec_sum[span] += np.divide(hits_at, k_float[span],
+                                    out=quotient[:hits_at.size])
+        rec_sum[span] += np.divide(hits_at, total_relevant,
+                                   out=quotient[:hits_at.size])
+        relevant[kept] = total_relevant
+        kept += 1
+    _add_tail(prec_sum, rec_sum, relevant[:kept], frontier, depth, k_float)
 
     oa = None
     if query_predicted is not None:

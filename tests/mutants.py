@@ -33,6 +33,7 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 _MEMORY = "tests/test_trainer.py::TestEncodeMemory::"
 _CANONICAL = "tests/test_data.py::test_other_label_files_go_line_by_line"
 _LABEL_RULE = "tests/test_data.py::TestOneLabelRule::"
+_SHARED = "tests/test_metrics.py::TestSharedRankings::"
 
 MUTANTS = [
     # the one block loop of encode and encode_database, and the one check of
@@ -61,6 +62,21 @@ MUTANTS = [
            [_LABEL_RULE + "test_dataset_raises_data_error[uint64_wraps_int64]",
             _LABEL_RULE + "test_writer_raises_data_error_and_keeps_the_file"
             "[uint64_max]"]),
+    Mutant("ragged-labels-unguarded", "data.py",
+           "    except ValueError:  # numpy refuses ragged nested sequences\n",
+           "    except TypeError:\n",
+           [_LABEL_RULE + "test_dataset_raises_data_error[ragged]",
+            _LABEL_RULE + "test_objective_raises_dimension_error[ragged]",
+            _LABEL_RULE + "test_writer_raises_data_error_and_keeps_the_file"
+            "[ragged]"]),
+    Mutant("float-beyond-int64-not-integer", "data.py",
+           "if raw[row] == np.floor(raw[row]) and np.isfinite(raw[row]):",
+           "if False:",
+           [_LABEL_RULE + "test_dataset_raises_data_error[float_beyond_int64]",
+            _LABEL_RULE + "test_objective_raises_dimension_error"
+            "[float_below_int64]",
+            _LABEL_RULE + "test_writer_raises_data_error_and_keeps_the_file"
+            "[float_beyond_int64]"]),
     Mutant("non-integral-label-without-row", "data.py",
            'f"label {raw[row]} in row {row} is not an integer class index"',
            'f"label {raw[row]} is not an integer class index"',
@@ -109,12 +125,28 @@ MUTANTS = [
            "        if start:\n            fh.write(separator)\n", "",
            ["tests/test_metrics.py::TestReportWriters::"
             "test_rows_at_chunk_boundary_match_reference[8193]"]),
-    Mutant("hits-prefix-too-long", "metrics.py",
-           "np.diff(hit_ranks, prepend=0, append=depth)",
-           "np.diff(hit_ranks, prepend=0, append=depth + 1)",
+    # evaluate's frontier and the tail it sums in blocks
+    Mutant("tail-frontier-one-short", "metrics.py",
+           "first, last = int(hit_ranks[0]), int(hit_ranks[-1])\n",
+           "first, last = int(hit_ranks[0]), int(hit_ranks[-1]) - 1\n",
            ["tests/test_metrics.py::TestEvaluate::test_hand_built_five_item_table",
-            "tests/test_metrics.py::TestEvaluate::"
-            "test_matches_double_loop_oracle[plain-48]"]),
+            _SHARED + "test_tail_of_one_rank",
+            _SHARED + "test_blocked_tail_with_moving_frontier[plain]"]),
+    Mutant("tail-recall-counts-zero-relevant", "metrics.py",
+           "            zero_relevant += 1\n            continue\n",
+           "            zero_relevant += 1\n            relevant[kept] = 0.0\n"
+           "            kept += 1\n            continue\n",
+           [_SHARED + "test_tail_of_one_rank",
+            _SHARED + "test_blocked_tail_with_moving_frontier[leave_one_out]"]),
+    Mutant("tail-summed-in-order-of-r", "metrics.py",
+           "total = np.add.reduce(quotients[picks], axis=0)",
+           "total = np.add.reduce(quotients[np.sort(picks)], axis=0)",
+           [_SHARED + "test_tail_of_one_rank",
+            _SHARED + "test_blocked_tail_with_moving_frontier[plain]"]),
+    Mutant("one-column-tail-block", "metrics.py",
+           "k = k_float[lo:max(hi, lo + 2)]", "k = k_float[lo:hi]",
+           [_SHARED + "test_tail_of_one_rank",
+            _SHARED + "test_blocked_tail_with_moving_frontier[leave_one_out]"]),
     # ranking after the cut radius
     Mutant("quicksort-within-radius", "index.py",
            'order = rows[np.argsort(d[rows], kind="stable")[:depth]]',

@@ -640,6 +640,13 @@ _REFUSED_LABELS = [
                  f"class index {2**64 - 1} outside [0, 3)", id="uint64_max"),
     pytest.param(np.array([0, 3], np.uint32), "class index 3 outside [0, 3)",
                  id="uint32_above"),
+    pytest.param([[0], [1, 2]],
+                 "labels have a ragged shape, not one class index per row",
+                 id="ragged"),
+    pytest.param([2**63, 0], "class index 9.223372036854776e+18 outside [0, 3)",
+                 id="float_beyond_int64"),
+    pytest.param([0.0, -2.0**70], "class index -1.1805916207174113e+21 outside "
+                 "[0, 3)", id="float_below_int64"),
 ]
 _ACCEPTED_LABELS = [
     pytest.param(np.array([2, 0], np.uint32), [2, 0], id="uint32"),

@@ -632,6 +632,49 @@ class TestSharedRankings:
         self.check(monkeypatch, table, codes, np.array([0, 1]), None,
                    np.array([0, 0]))
 
+    @pytest.mark.parametrize("mode", ["plain", "leave_one_out"])
+    def test_blocked_tail_with_moving_frontier(self, monkeypatch, mode):
+        """More rows than several tail blocks, more queries with hits than
+        one group of them, classes of unequal size, query labels with no
+        rows, and a frontier that moves after queries have been kept: the
+        tail's sums in query order pin numpy's row-by-row axis-0 reduce."""
+        rng = np.random.default_rng(26)
+        n, code_bits, nq = 2000, 16, 450
+        # each class is the rows about one centre, so a query about its
+        # class's centre has all its hits early
+        centres = np.where(rng.random((6, code_bits)) > 0.5, 1, -1)
+        labels = rng.choice(6, n, p=[0.3, 0.25, 0.2, 0.12, 0.08, 0.05])
+        signs = centres[labels]
+        signs[rng.random(signs.shape) < 0.02] *= -1
+        table = CodeTable(np.atleast_2d(pack_codes(signs)),
+                          rng.permutation(n), labels, labels, code_bits)
+        qlabels = rng.integers(0, 8, nq)  # 6 and 7 label no row
+        qsigns = centres[qlabels % 6]
+        qsigns[rng.random(qsigns.shape) < 0.02] *= -1
+        codes = np.atleast_2d(pack_codes(qsigns))
+        exclude = None
+        if mode == "leave_one_out":
+            exclude = table.ids[rng.choice(n, nq, replace=False)]
+        last_hits = [np.flatnonzero(rank_all(c, table).labels == q)[-1]
+                     for c, q in zip(codes, qlabels) if q < 6]
+        assert len(last_hits) > jointhash.metrics._TAIL_ROWS
+        frontiers = np.unique(np.maximum.accumulate(last_hits))
+        assert frontiers.size > 3
+        assert n - frontiers[-1] > 2 * jointhash.metrics._TAIL_COLUMNS
+        self.check(monkeypatch, table, codes, qlabels, qlabels, exclude)
+
+    def test_tail_of_one_rank(self, monkeypatch):
+        """Rows that share the queries' code rank in table order. Ten queries
+        end their hits by rank 9. Labels 3 and 4 have one row each, at ranks
+        10 and 11, so their queries move the frontier one rank at a time, and
+        the tail after the loop is one rank too; label 5 has no row."""
+        signs = np.ones((12, 3), dtype=int)
+        labels = np.array([0, 2, 1, 0, 2, 0, 1, 2, 0, 0, 3, 4])
+        table = build_table(signs, labels)
+        qlabels = np.array([0, 2, 2, 0, 1, 2, 1, 0, 2, 2, 3, 4, 5])
+        codes = np.atleast_2d(pack_codes(np.ones((qlabels.size, 3), int)))
+        self.check(monkeypatch, table, codes, qlabels, None, None)
+
     def test_random_tables_and_queries(self, monkeypatch):
         calls = count_rankings(monkeypatch)
 
