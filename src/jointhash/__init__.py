@@ -37,7 +37,6 @@ from .metrics import (
     average_precision,
     evaluate,
     mean_average_precision,
-    overall_accuracy,
     precision_at_k,
     precision_recall_curve,
     recall_at_k,
@@ -63,11 +62,9 @@ from .objective import (
 )
 from .train import (
     Checkpoint,
-    EpochStats,
     TrainConfig,
     encode,
     encode_database,
-    init_params,
     load_checkpoint,
     save_checkpoint,
     sgd_step,

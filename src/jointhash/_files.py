@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import FormatError
 
+# HTBL stores ids and labels, DHCN the class count, as u32
+U32_MAX = 2**32 - 1
+
 
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):

@@ -17,7 +17,6 @@ import numpy as np
 
 from ._files import atomic_open
 from .data import (
-    Dataset,
     StreamedDataset,
     load_dataset,
     parse_run_config,
@@ -25,7 +24,7 @@ from .data import (
     train_test_split,
 )
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .index import CodeTable, load_code_table, rank_all, save_code_table
+from .index import CodeTable, load_code_table, per_group, rank_all, save_code_table
 from .metrics import evaluate, write_curve_csvs, write_report_json
 from .objective import GRADCHECK_TOLERANCE, Hyperparams, gradient_check_suite
 from .train import (
@@ -68,17 +67,6 @@ _GRID_OF = {int: "integers", float: "reals"}
 _HYPER_OPTIONS = {"eta": "eta", "beta": "beta", "lr": "lr", "code_bits": "bits",
                   "batch_size": "batch", "epochs": "epochs", "seed": "seed"}
 
-_REQUIRED = {
-    "train": ("features", "labels", "out"),
-    "encode": ("checkpoint", "features", "labels", "codes"),
-    "query": ("checkpoint", "codes", "features"),
-    "eval": ("checkpoint", "codes", "features", "labels", "out"),
-    "gradcheck": (),
-    "sweep": ("features", "labels", "out"),
-}
-
-_SWEEP_DEFAULTS = {"bits": "16,32,48,64", "epochs": "60"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -86,15 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hash-code retrieval with joint label training",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("train", "learn hash and classifier weights from a feature file"),
-        ("encode", "emit the code table for a database"),
-        ("query", "rank database items for each query feature row"),
-        ("eval", "retrieval and classification metrics for a query set"),
-        ("gradcheck", "verify analytic gradients against finite differences"),
-        ("sweep", "train/evaluate over a (bits, eta, beta) grid"),
-    ):
-        p = sub.add_parser(name, help=helptext)
+    for command, (_, helptext, *_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=helptext)
         for name, (shape, *_) in _OPTIONS.items():
             kind = "choices" if isinstance(shape, tuple) else "metavar"
             p.add_argument(f"--{name}", **{kind: shape})
@@ -102,16 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_options(args: argparse.Namespace) -> dict[str, str]:
-    merged = dict(_DEFAULTS)
-    if args.command == "sweep":
-        merged.update(_SWEEP_DEFAULTS)
+    _, _, required, defaults = _COMMANDS[args.command]
+    merged = {**_DEFAULTS, **defaults}
     if args.config is not None:
         merged.update(parse_run_config(args.config, _CONFIG_KEYS))
     for flag in _OPTIONS:
         value = getattr(args, flag, None)
         if value is not None:
             merged[flag] = value
-    missing = [k for k in _REQUIRED[args.command] if k not in merged]
+    missing = [k for k in required if k not in merged]
     if missing:
         raise ConfigError(
             f"missing required option(s) for {args.command}: "
@@ -238,27 +218,22 @@ def cmd_query(opts: dict[str, str]) -> int:
                 f"--radius must lie in [0, {table.code_bits}], got {radius}"
             )
     codes, _ = encode(cp.params, queries)
-    # queries with equal codes print the same rows: each distinct code is
-    # ranked once, and its rows are kept until its last query
-    distinct, code_of = np.unique(codes, axis=0, return_inverse=True)
-    code_of = code_of.tolist()
-    last_query = {c: q for q, c in enumerate(code_of)}
-    rows = {}
-    for q, c in enumerate(code_of):
-        if c not in rows:
-            ranking = rank_all(distinct[c], table, topk)
-            shown = len(ranking)
-            if radius is not None:
-                shown = int(np.searchsorted(ranking.distances, radius,
-                                            side="right"))
-            text = io.StringIO()
-            csv.writer(text).writerows(zip(
-                range(1, shown + 1), ranking.ids[:shown].tolist(),
-                ranking.distances[:shown].tolist(),
-                ranking.labels[:shown].tolist(),
-                ranking.predicted[:shown].tolist()))
-            rows[c] = text.getvalue()
-        sys.stdout.write(rows.pop(c) if last_query[c] == q else rows[c])
+
+    def rows_text(group: list) -> str:
+        ranking = rank_all(codes[group[0]], table, topk)
+        shown = len(ranking)
+        if radius is not None:
+            shown = int(np.searchsorted(ranking.distances, radius, side="right"))
+        text = io.StringIO()
+        csv.writer(text).writerows(zip(
+            range(1, shown + 1), ranking.ids[:shown].tolist(),
+            ranking.distances[:shown].tolist(),
+            ranking.labels[:shown].tolist(),
+            ranking.predicted[:shown].tolist()))
+        return text.getvalue()
+
+    # queries with equal codes print the same rows, made once per code
+    sys.stdout.writelines(per_group(codes, rows_text))
     return 0
 
 
@@ -304,16 +279,6 @@ def cmd_gradcheck(opts: dict[str, str]) -> int:
     return 0
 
 
-def _run_sweep_point(train_set: Dataset, test_set: Dataset,
-                     hyper: Hyperparams) -> tuple[float, float]:
-    params, _ = train(train_set, TrainConfig(hyper))
-    table = encode_database(params, train_set)
-    query_codes, query_predicted = encode(params, test_set.features)
-    report = evaluate(table, query_codes, test_set.labels,
-                      query_predicted=query_predicted)
-    return report.map, report.oa
-
-
 def cmd_sweep(opts: dict[str, str]) -> int:
     dataset = load_dataset(opts["features"], opts["labels"])
     bits_grid = _parse_list(opts, "bits")
@@ -331,10 +296,14 @@ def cmd_sweep(opts: dict[str, str]) -> int:
         for eta in eta_grid:
             for beta in beta_grid:
                 hyper = _hyper_from(opts, code_bits=bits, eta=eta, beta=beta)
-                map_value, oa = _run_sweep_point(train_set, test_set, hyper)
-                rows.append((bits, eta, beta, map_value, oa))
+                params, _ = train(train_set, TrainConfig(hyper))
+                table = encode_database(params, train_set)
+                query_codes, query_predicted = encode(params, test_set.features)
+                report = evaluate(table, query_codes, test_set.labels,
+                                  query_predicted=query_predicted)
+                rows.append((bits, eta, beta, report.map, report.oa))
                 print(f"bits={bits:<3} eta={eta:<5} beta={beta:<6} "
-                      f"MAP={map_value:.4f} OA={oa:.4f}")
+                      f"MAP={report.map:.4f} OA={report.oa:.4f}")
     with atomic_open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bits", "eta", "beta", "map", "oa"])
@@ -343,13 +312,21 @@ def cmd_sweep(opts: dict[str, str]) -> int:
     return 0
 
 
+# Every command: name -> (handler; help text; required options; the defaults
+# that differ from _OPTIONS). The parser and the option merge read this table.
 _COMMANDS = {
-    "train": cmd_train,
-    "encode": cmd_encode,
-    "query": cmd_query,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
-    "sweep": cmd_sweep,
+    "train": (cmd_train, "learn hash and classifier weights from a feature file",
+              ("features", "labels", "out"), {}),
+    "encode": (cmd_encode, "emit the code table for a database",
+               ("checkpoint", "features", "labels", "codes"), {}),
+    "query": (cmd_query, "rank database items for each query feature row",
+              ("checkpoint", "codes", "features"), {}),
+    "eval": (cmd_eval, "retrieval and classification metrics for a query set",
+             ("checkpoint", "codes", "features", "labels", "out"), {}),
+    "gradcheck": (cmd_gradcheck,
+                  "verify analytic gradients against finite differences", (), {}),
+    "sweep": (cmd_sweep, "train/evaluate over a (bits, eta, beta) grid",
+              ("features", "labels", "out"), {"bits": "16,32,48,64", "epochs": "60"}),
 }
 
 
@@ -357,7 +334,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -30,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_open, open_binary, read_into, write_binary
+from ._files import U32_MAX, atomic_open, open_binary, read_into, write_binary
 from .errors import ConfigError, DataError, FormatError
-from .index import U32_MAX
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1

@@ -4,7 +4,8 @@ Distances are computed by XOR + popcount over 64-bit words. Pad bits beyond
 the code length are zero by construction (enforced when the table is built),
 so the inner loop needs no masking. This module is the only place distances
 are computed and a table is ordered: rank_all is the one ranking that search
-and evaluation build on.
+and evaluation build on, and per_group the one step that lets queries with
+equal codes share it.
 
 The scan walks the table in blocks of _SCAN_ROWS rows and, within a block,
 word by word: each word's XOR goes into one reused block buffer and its
@@ -22,16 +23,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._files import open_binary, read_into, write_binary
+from ._files import U32_MAX, open_binary, read_into, write_binary
 from .errors import DimensionError, FormatError
 from .model import WORD_BITS, packed_words
 
 TABLE_MAGIC = b"HTBL"
 TABLE_VERSION = 1
 _TABLE_HEADER = struct.Struct("<4sHII")
-
-# HTBL stores ids and labels, DHCN the class count, as u32
-U32_MAX = 2**32 - 1
 
 # rank_all guesses its cut radius from every _SAMPLE_STRIDE-th distance with
 # a margin of _SAMPLE_FACTOR; at depth 100 on 10^6 64-bit codes that sorts a
@@ -202,6 +200,23 @@ def top_k(query: np.ndarray, table: CodeTable, k: int) -> Ranking:
     if not 1 <= k <= len(table):
         raise ValueError(f"k must lie in [1, {len(table)}], got {k}")
     return rank_all(query, table, k)
+
+
+def per_group(keys: np.ndarray, make):
+    """For each row of keys in order, yield make(rows) of its group: rows are
+    the ascending indices of the rows equal to it. A group's value is made at
+    its first row and dropped after its last, so only groups whose rows
+    interleave are held at once."""
+    _, group_of = np.unique(keys, axis=0, return_inverse=True)
+    group_of = group_of.tolist()
+    rows = {}
+    for row, group in enumerate(group_of):
+        rows.setdefault(group, []).append(row)
+    held = {}
+    for row, group in enumerate(group_of):
+        if group not in held:
+            held[group] = make(rows[group])
+        yield held.pop(group) if rows[group][-1] == row else held[group]
 
 
 def save_code_table(table: CodeTable, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._files import atomic_open
 from .errors import DimensionError
-from .index import CodeTable, hamming_distance, rank_all
+from .index import CodeTable, hamming_distance, per_group, rank_all
 
 
 @dataclass
@@ -253,9 +253,9 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     one row, which is left out of that query's ranking (leave-one-out for
     queries that live in the database).
 
-    Queries with equal codes share one full ranking of the table: each
-    distinct code is ranked once, and what its queries need of the ranking is
-    kept until its last query. Leave-one-out is applied to that shared
+    Queries with equal codes share one full ranking of the table: per_group
+    ranks each distinct code once and keeps what its queries need of the
+    ranking until its last query. Leave-one-out is applied to that shared
     ranking per query, and every sum accumulates in query order, so the
     report's bytes are those of ranking each query on its own.
 
@@ -293,19 +293,14 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     k_float = np.arange(1, depth + 2, dtype=np.float64)
     quotient = np.empty(ks.size)
 
-    codes, code_of = np.unique(query_codes, axis=0, return_inverse=True)
     labels, label_of = np.unique(query_labels, return_inverse=True)
-    code_of, label_of = code_of.tolist(), label_of.tolist()
-    # each code's last query, and the labels and left-out rows of its queries
-    last_query = {}
-    code_labels = [{} for _ in range(len(codes))]
-    code_excludes = [[] for _ in range(len(codes))]
-    for q, (c, key) in enumerate(zip(code_of, label_of)):
-        last_query[c] = q
-        code_labels[c][key] = labels[key]
-        if exclude_rows is not None:
-            code_excludes[c].append(exclude_rows[q])
-    ranked = {}
+    label_of = label_of.tolist()
+
+    def rank_code(queries: list) -> _CodeRanking:
+        # the labels and left-out rows of the queries that share a code
+        return _rank_code(query_codes[queries[0]], table,
+                          {label_of[q]: labels[label_of[q]] for q in queries},
+                          [exclude_rows[q] for q in queries if exclude_rows])
 
     aps = np.empty(nq)
     prec_sum = np.zeros(ks.size)
@@ -320,11 +315,8 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     relevant = np.empty(nq)
     kept = 0
 
-    for q, (c, key) in enumerate(zip(code_of, label_of)):
-        if c not in ranked:
-            ranked[c] = _rank_code(codes[c], table, code_labels[c],
-                                   code_excludes[c])
-        code = ranked.pop(c) if last_query[c] == q else ranked[c]
+    ranked = per_group(query_codes, rank_code)
+    for q, (code, key) in enumerate(zip(ranked, label_of)):
         hit_ranks, curve = _query_pass(
             code, key, None if exclude_rows is None else exclude_rows[q])
         aps[q] = _average_precision(hit_ranks)

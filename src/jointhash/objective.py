@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import U32_MAX
 from .data import class_indices
 from .errors import DimensionError, NumericError
-from .index import U32_MAX
 from .model import (
     ModelParams,
     _exp_neg_abs,

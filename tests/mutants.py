@@ -147,6 +147,18 @@ MUTANTS = [
            "k = k_float[lo:max(hi, lo + 2)]", "k = k_float[lo:hi]",
            [_SHARED + "test_tail_of_one_rank",
             _SHARED + "test_blocked_tail_with_moving_frontier[leave_one_out]"]),
+    # the one grouping of equal query codes behind evaluate and query
+    Mutant("group-value-made-every-row", "index.py",
+           "        if group not in held:\n", "        if True:\n",
+           ["tests/test_index.py::TestPerGroup::"
+            "test_make_called_once_per_key_with_its_rows_ascending",
+            _SHARED + "test_equal_to_per_query_reference[plain-interleaved-12]",
+            "tests/test_cli.py::TestQuery::test_repeated_codes_ranked_once[False]"]),
+    Mutant("group-value-never-released", "index.py",
+           "yield held.pop(group) if rows[group][-1] == row else held[group]",
+           "yield held[group]",
+           ["tests/test_index.py::TestPerGroup::"
+            "test_value_released_after_its_last_row"]),
     # ranking after the cut radius
     Mutant("quicksort-within-radius", "index.py",
            'order = rows[np.argsort(d[rows], kind="stable")[:depth]]',

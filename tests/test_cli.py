@@ -324,6 +324,15 @@ class TestQuery:
         assert capsys.readouterr().out == expected
         assert len(calls) == len(np.unique(codes, axis=0)) < len(codes)
 
+    def test_zero_query_rows_print_nothing(self, trained, tmp_path, capsys,
+                                           monkeypatch):
+        write_feature_file(tmp_path / "none.feat", np.empty((0, 16)))
+        monkeypatch.setattr("jointhash.cli.rank_all", None)  # never called
+        assert run("query", "--checkpoint", trained / "checkpoint.bin",
+                   "--codes", trained / "db.htbl",
+                   "--features", tmp_path / "none.feat") == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_topk_out_of_range_is_config_error(self, corpus, trained):
         code = run("query", "--checkpoint", trained / "checkpoint.bin",
                    "--codes", trained / "db.htbl",

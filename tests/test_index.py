@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from jointhash.index import (
     CodeTable,
     hamming_distance,
     load_code_table,
+    per_group,
     radius_search,
     rank_all,
     save_code_table,
@@ -294,6 +296,56 @@ class TestTopK:
             top_k(query, table, 0)
         with pytest.raises(ValueError):
             top_k(query, table, 4)
+
+
+class TestPerGroup:
+    """per_group yields, row by row, one value per group of equal rows."""
+
+    # codes of six queries in three groups whose rows interleave
+    KEYS = np.array([[3, 1], [0, 2], [3, 1], [5, 5], [0, 2], [3, 1]], np.uint64)
+
+    def test_values_come_back_in_row_order(self):
+        assert list(per_group(self.KEYS, tuple)) == [
+            (0, 2, 5), (1, 4), (0, 2, 5), (3,), (1, 4), (0, 2, 5)]
+
+    def test_make_called_once_per_key_with_its_rows_ascending(self):
+        calls = []
+
+        def make(rows):
+            calls.append(list(rows))
+            return len(calls)
+
+        assert list(per_group(self.KEYS, make)) == [1, 2, 1, 3, 2, 1]
+        assert calls == [[0, 2, 5], [1, 4], [3]]
+
+    def test_value_released_after_its_last_row(self):
+        class Value:
+            pass
+
+        refs = {}
+
+        def make(rows):
+            value = Value()
+            refs[rows[0]] = weakref.ref(value)
+            return value
+
+        groups = per_group(np.array([7, 8, 7, 9]), make)
+        next(groups)  # row 0 of the group {0, 2}
+        assert refs[0]() is not None
+        next(groups)  # row 1, the whole group {1}
+        assert refs[0]() is not None and refs[1]() is None
+        next(groups)  # row 2, the last of {0, 2}
+        assert refs[0]() is None
+        next(groups)
+        assert refs[3]() is None
+        assert next(groups, None) is None
+
+    @pytest.mark.parametrize("keys", [np.empty((0, 2), np.uint64),
+                                      np.empty(0, np.int64)])
+    def test_zero_rows_yield_nothing(self, keys):
+        calls = []
+        assert list(per_group(keys, calls.append)) == []
+        assert calls == []
 
 
 class TestBlockedScan:
