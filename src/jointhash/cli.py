@@ -286,24 +286,25 @@ def cmd_sweep(opts: dict[str, str]) -> int:
     beta_grid = _parse_list(opts, "beta")
     if not bits_grid or not eta_grid or not beta_grid:
         raise ConfigError("sweep grids must be nonempty")
+    # every grid point is checked before the first one trains
+    grid = [_hyper_from(opts, code_bits=bits, eta=eta, beta=beta)
+            for bits in bits_grid for eta in eta_grid for beta in beta_grid]
     train_set, test_set = train_test_split(dataset, 0.2, _parse(opts, "seed"))
     if not len(test_set):
         raise DataError(f"{opts['labels']}: every class has one row, so the "
                         "held-out split is empty")
     out = _outdir(opts)
     rows = []
-    for bits in bits_grid:
-        for eta in eta_grid:
-            for beta in beta_grid:
-                hyper = _hyper_from(opts, code_bits=bits, eta=eta, beta=beta)
-                params, _ = train(train_set, TrainConfig(hyper))
-                table = encode_database(params, train_set)
-                query_codes, query_predicted = encode(params, test_set.features)
-                report = evaluate(table, query_codes, test_set.labels,
-                                  query_predicted=query_predicted)
-                rows.append((bits, eta, beta, report.map, report.oa))
-                print(f"bits={bits:<3} eta={eta:<5} beta={beta:<6} "
-                      f"MAP={report.map:.4f} OA={report.oa:.4f}")
+    for hyper in grid:
+        bits, eta, beta = hyper.code_bits, hyper.eta, hyper.beta
+        params, _ = train(train_set, TrainConfig(hyper))
+        table = encode_database(params, train_set)
+        query_codes, query_predicted = encode(params, test_set.features)
+        report = evaluate(table, query_codes, test_set.labels,
+                          query_predicted=query_predicted)
+        rows.append((bits, eta, beta, report.map, report.oa))
+        print(f"bits={bits:<3} eta={eta:<5} beta={beta:<6} "
+              f"MAP={report.map:.4f} OA={report.oa:.4f}")
     with atomic_open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bits", "eta", "beta", "map", "oa"])

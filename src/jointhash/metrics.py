@@ -10,8 +10,8 @@ averaged away.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -361,20 +361,64 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     )
 
 
-# Rows are formatted and written this many at a time, so a writer never holds
+# Rows are rendered and written this many at a time, so a writer never holds
 # the whole file as one string.
 _CHUNK_ROWS = 8192
+# Digits come from integers y < 2**34 in float64, where floor(y * 0.1) is
+# floor(y / 10). Below 2**34, x * 1e10 lies within 2**-20 of x * 10**10; more
+# than 2**-18 from a tie, its rint is the half-even integer '%.10f' % x prints.
+_FIXED_LIMIT = 2.0**34
+_TIE_MARGIN = 2.0**-18
 
 
-def _write_rows(fh, row_format: str, separator: str, columns) -> None:
-    """Write the %-format row_format for each row of the columns, joined by
-    separator; each chunk is formatted by one template."""
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in columns]
-        if start:
-            fh.write(separator)
-        template = separator.join([row_format] * len(chunk[0]))
-        fh.write(template % tuple(chain.from_iterable(zip(*chunk))))
+def _render(row_format: str, columns) -> str:
+    """row_format for each row of the columns, which fill its %d and %.10f
+    fields in order, as one (rows, width) byte matrix whose 0 bytes are
+    dropped. A field ends in its value's digits, for %.10f those of
+    rint(x * 1e10) with a point before the last ten. Any other value
+    (negative, -0.0, nan, inf, too large, near a tie) is formatted by % into
+    the same matrix, its field widened to fit.
+    """
+    rows, width, constants, fields = len(columns[0]), 0, [], []
+    for i, part in enumerate(re.split(r"(%d|%\.10f)", row_format)):
+        if i % 2 == 0:
+            constants.append((width, part.encode()))
+            width += len(part)
+            continue
+        values = np.asarray(columns[i // 2])
+        if part == "%d":
+            frac, y = 0, values.astype(np.float64)
+        else:  # clipped below any overflow; y = x * 1e10 wherever it is ok
+            frac, y = 10, np.clip(values, -2.0, 2.0) * 1e10
+        ok = ~np.signbit(y) & (y < _FIXED_LIMIT)
+        y[~ok] = 0.0
+        ok &= np.abs(y - np.floor(y) - 0.5) > _TIE_MARGIN
+        np.rint(y, out=y)
+        bad = np.flatnonzero(~ok)
+        texts = [part.encode() % v for v in values[bad].tolist()]
+        digits = max(frac + 1, len("%d" % y.max(initial=0)))
+        span = max([digits + (frac > 0)] + [len(t) for t in texts])
+        fields.append((width, width + span, y, frac, digits, bad, texts))
+        width += span
+    matrix = np.zeros((rows, width), np.uint8)
+    for start, text in constants:
+        matrix[:, start:start + len(text)] = np.frombuffer(text, np.uint8)
+    q, digit = np.empty(rows), np.empty(rows)
+    for start, stop, y, frac, digits, bad, texts in fields:
+        for i in range(digits):  # y is floor(n / 10**i), n the field's integer
+            np.floor(np.multiply(y, 0.1, out=q), out=q)
+            np.subtract(y, np.multiply(q, 10, out=digit), out=digit)
+            digit += ord("0")
+            if i > frac:
+                digit *= y > 0  # blank a leading digit beyond the value's own
+            matrix[:, stop - 1 - i - (0 < frac <= i)] = digit
+            y, q = q, y
+        if frac:
+            matrix[:, stop - 1 - frac] = ord(".")
+        matrix[bad, start:stop] = 0
+        for row, text in zip(bad.tolist(), texts):
+            matrix[row, start:start + len(text)] = np.frombuffer(text, np.uint8)
+    return matrix.tobytes().replace(b"\0", b"").decode()
 
 
 def write_report_json(report: EvalReport, path) -> None:
@@ -399,25 +443,29 @@ def write_report_json(report: EvalReport, path) -> None:
         fh.write(head[:-2] + ",\n")  # drop the closing "\n}"
         for name, values in (("precision_at", report.precision_at),
                              ("recall_at", report.recall_at)):
-            if report.ks.size == 0:
-                fh.write(f'  "{name}": {{}},\n')
-                continue
-            fh.write(f'  "{name}": {{\n')
-            _write_rows(fh, '    "%d": %r', ",\n",
-                        (report.ks, values))
-            fh.write("\n  },\n")
+            fh.write(f'  "{name}": {{')
+            for start in range(0, report.ks.size, _CHUNK_ROWS):
+                rows = slice(start, start + _CHUNK_ROWS)
+                # a row opens with the comma that ends the row before it
+                template = _render(',\n    "%d": %r', [report.ks[rows]])
+                fh.write(template[0 if start else 1:]
+                         % tuple(values[rows].tolist()))
+            fh.write("\n  },\n" if report.ks.size else "},\n")
         fh.write(tail[2:] + "\n")  # drop the opening "{\n"
 
 
 def write_curve_csvs(report: EvalReport, out_dir) -> None:
     """curve_topk.csv and curve_radius.csv: 10 decimals, CRLF line ends."""
     out_dir = Path(out_dir)
-    with atomic_open(out_dir / "curve_topk.csv", "w", newline="") as fh:
-        fh.write("k,precision,recall\r\n")
-        _write_rows(fh, "%d,%.10f,%.10f\r\n", "",
-                    (report.ks, report.precision_at, report.recall_at))
-    with atomic_open(out_dir / "curve_radius.csv", "w", newline="") as fh:
-        fh.write("radius,precision,recall,vacuous_queries\r\n")
-        _write_rows(fh, "%d,%.10f,%.10f,%d\r\n", "",
-                    (np.arange(report.pr_precision.size), report.pr_precision,
-                     report.pr_recall, report.vacuous_radius_counts))
+    for name, header, row_format, columns in (
+            ("curve_topk.csv", "k,precision,recall", "%d,%.10f,%.10f\r\n",
+             (report.ks, report.precision_at, report.recall_at)),
+            ("curve_radius.csv", "radius,precision,recall,vacuous_queries",
+             "%d,%.10f,%.10f,%d\r\n",
+             (np.arange(report.pr_precision.size), report.pr_precision,
+              report.pr_recall, report.vacuous_radius_counts))):
+        with atomic_open(out_dir / name, "w", newline="") as fh:
+            fh.write(header + "\r\n")
+            for start in range(0, len(columns[0]), _CHUNK_ROWS):
+                fh.write(_render(row_format, [c[start:start + _CHUNK_ROWS]
+                                              for c in columns]))

@@ -34,6 +34,7 @@ _MEMORY = "tests/test_trainer.py::TestEncodeMemory::"
 _CANONICAL = "tests/test_data.py::test_other_label_files_go_line_by_line"
 _LABEL_RULE = "tests/test_data.py::TestOneLabelRule::"
 _SHARED = "tests/test_metrics.py::TestSharedRankings::"
+_WRITERS = "tests/test_metrics.py::TestReportWriters::"
 
 MUTANTS = [
     # the one block loop of encode and encode_database, and the one check of
@@ -122,9 +123,21 @@ MUTANTS = [
             "tests/test_metrics.py::TestPrecisionRecallCurve::"
             "test_matches_radius_search_oracle"]),
     Mutant("no-chunk-separator", "metrics.py",
-           "        if start:\n            fh.write(separator)\n", "",
-           ["tests/test_metrics.py::TestReportWriters::"
-            "test_rows_at_chunk_boundary_match_reference[8193]"]),
+           "template[0 if start else 1:]", "template[1:]",
+           [_WRITERS + "test_rows_at_chunk_boundary_match_reference[8193]"]),
+    Mutant("fixed-point-no-tie-margin", "metrics.py",
+           "        ok &= np.abs(y - np.floor(y) - 0.5) > _TIE_MARGIN\n", "",
+           [_WRITERS + "test_edge_values_match_reference[tie_neighbours]",
+            _WRITERS + "test_fixed_point_field_is_percent_format"]),
+    Mutant("fixed-point-no-sign-range-guard", "metrics.py",
+           "ok = ~np.signbit(y) & (y < _FIXED_LIMIT)", "ok = np.isfinite(y)",
+           [_WRITERS + "test_edge_values_match_reference[sign_and_range]",
+            _WRITERS + "test_edge_values_match_reference[integers]",
+            _WRITERS + "test_fixed_point_field_is_percent_format"]),
+    Mutant("blank-one-leading-digit-too-many", "metrics.py",
+           "            if i > frac:\n", "            if i >= frac:\n",
+           [_WRITERS + "test_bytes_match_reference[no_oa-1]",
+            _WRITERS + "test_edge_values_match_reference[sign_and_range]"]),
     # evaluate's frontier and the tail it sums in blocks
     Mutant("tail-frontier-one-short", "metrics.py",
            "first, last = int(hit_ranks[0]), int(hit_ranks[-1])\n",

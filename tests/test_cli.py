@@ -667,6 +667,27 @@ class TestSweep:
             assert 0.0 <= float(r["map"]) <= 1.0
             assert 0.0 <= float(r["oa"]) <= 1.0
 
+    @pytest.mark.parametrize("flag, grid, line", [
+        pytest.param("--bits", "8,0", "code_bits must be >= 1, got 0",
+                     id="bits"),
+        pytest.param("--eta", "0.2,1.5", "eta must lie in [0, 1], got 1.5",
+                     id="eta"),
+        pytest.param("--beta", "25,-1",
+                     "beta must be finite and >= 0, got -1.0", id="beta"),
+    ])
+    def test_bad_grid_point_refused_before_training(self, corpus, tmp_path,
+                                                    capsys, monkeypatch, flag,
+                                                    grid, line):
+        # the bad point comes last: no earlier point trains or prints
+        monkeypatch.setattr("jointhash.cli.train", None)  # never called
+        assert run("sweep", "--features", corpus / "train" / "features.feat",
+                   "--labels", corpus / "train" / "labels.txt", flag, grid,
+                   "--epochs", "1", "--out", tmp_path / "out") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: config: {line}"]
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_empty_held_out_split_is_data_error(self, tmp_path, capsys):
         # one row per class leaves no row to hold out
         write_feature_file(tmp_path / "f.feat",

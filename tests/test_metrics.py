@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -799,6 +800,92 @@ class TestReportWriters:
             vacuous_radius_counts=rng.integers(0, 50, 17), oa=None,
             num_queries=50, zero_relevant_queries=2)
         self.assert_same_bytes(report, tmp_path)
+
+    @staticmethod
+    def report_of(values, ks=None):
+        """A report whose every curve holds the values."""
+        values = np.asarray(values, dtype=np.float64)
+        return EvalReport(
+            map=0.5, ks=np.arange(1, values.size + 1) if ks is None else ks,
+            precision_at=values, recall_at=values[::-1].copy(),
+            pr_precision=values, pr_recall=values[::-1].copy(),
+            vacuous_radius_counts=np.arange(values.size) * 7, oa=None,
+            num_queries=3, zero_relevant_queries=0)
+
+    @staticmethod
+    def edge_report(case):
+        if case == "ties":
+            # j / 2**11 is a tie at the tenth decimal for odd j, and from
+            # 1.72 on beyond the digits' range
+            return TestReportWriters.report_of(np.arange(4096) / 2**11)
+        if case == "tie_neighbours":
+            # (n + 0.5) / 1e10 and its float64 neighbours: rint of the
+            # rounded product misses '%.10f' on some of them
+            n = np.concatenate([np.arange(600), [2**34 - 1, 2**34],
+                                np.random.default_rng(3).integers(0, 2**34, 600)])
+            values = [(n + 0.5) / 1e10]
+            for direction in (-np.inf, np.inf):
+                values.append(np.nextafter(values[0], direction))
+                values.append(np.nextafter(values[-1], direction))
+            return TestReportWriters.report_of(np.concatenate(values))
+        if case == "sign_and_range":
+            values = [-0.0, 0.0, 5e-324, 1e-11, 0.99999999995, 1.0,
+                      1.0000000000000002, 1.7179869183, 1.7179869184,
+                      1.7179869185, 1.72, 2.0, 9.99999999995, 10.0, 123.456,
+                      1e20, 1e300, -1e-12, -0.5, -3.0]
+            return TestReportWriters.report_of(
+                np.concatenate([values, np.linspace(1.72, 10.0, 200)]))
+        # integers: negative, at the digits' limit and beyond
+        ks = np.array([-12, -1, 0, 7, 2**34 - 1, 2**34, 2**62])
+        report = TestReportWriters.report_of(np.linspace(0, 1, ks.size), ks)
+        report.vacuous_radius_counts = ks[::-1].copy()
+        return report
+
+    @pytest.mark.parametrize("case", ["ties", "tie_neighbours",
+                                      "sign_and_range", "integers"])
+    def test_edge_values_match_reference(self, case, tmp_path):
+        self.assert_same_bytes(self.edge_report(case), tmp_path)
+
+    @pytest.mark.parametrize("chunk_rows", [9, 99, 9999])
+    def test_key_widths_change_at_chunk_boundary(self, chunk_rows, tmp_path,
+                                                 monkeypatch):
+        # the last key of the first chunk has one digit fewer than the next
+        monkeypatch.setattr(jointhash.metrics, "_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(chunk_rows)
+        self.assert_same_bytes(self.report_of(rng.random(chunk_rows + 3)),
+                               tmp_path)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(0.0, 2.0),
+        st.tuples(st.integers(0, 2**35), st.sampled_from([-1, 0, 1])).map(
+            lambda t: float(np.nextafter((t[0] + 0.5) / 1e10, t[1] * np.inf)
+                            if t[1] else (t[0] + 0.5) / 1e10))),
+        min_size=1, max_size=40))
+    def test_fixed_point_field_is_percent_format(self, values):
+        # any float64 gives '%.10f''s text, and no RuntimeWarning (which the
+        # test configuration turns into an error)
+        got = jointhash.metrics._render("%.10f|", [np.array(values)])
+        assert got == "".join("%.10f|" % v for v in values)
+
+    @pytest.mark.parametrize("writer", ["write_report_json", "write_curve_csvs"])
+    def test_peak_memory_at_benchmark_rows(self, writer, tmp_path):
+        # 100,199 rows as on the benchmark's eval; one chunk's rows in text
+        # and bytes, never the file's
+        rng = np.random.default_rng(0)
+        report = self.report_of(rng.random(100_199) / 3)
+        report.pr_precision, report.pr_recall = rng.random((2, 49))
+        report.vacuous_radius_counts = rng.integers(0, 200, 49)
+        target = tmp_path / "report.json" if writer == "write_report_json" \
+            else tmp_path
+        tracemalloc.start()
+        try:
+            getattr(jointhash.metrics, writer)(report, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     @staticmethod
     def assert_same_bytes(report, tmp_path):
