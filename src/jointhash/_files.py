@@ -4,8 +4,10 @@ FEAT, HTBL and DHCN files each hold a little-endian header (magic, u16
 version, format fields) and then arrays whose size the header fixes.
 `open_binary` checks magic, version, the format's `payload` (which may reject
 a field, as FEAT's width does) and the exact file length, in that order.
-`read_into` is the one short-read check. Every output file is written
-through `atomic_open`; `write_binary` writes through it one array at a time.
+`read_into` is the one short-read check. Every output file is bytes
+written through `atomic_open`. `write_binary` writes a whole file, a head
+and then arrays; a text file is its head, encoded once. The eval report
+writers stream their chunks through `atomic_open` themselves.
 """
 
 from __future__ import annotations
@@ -24,19 +26,18 @@ U32_MAX = 2**32 - 1
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
-    """Open a new temporary file beside path for writing; on a clean exit it
-    replaces path with os.replace.
+def atomic_open(path):
+    """Open a new temporary file beside path for writing bytes; on a clean
+    exit it replaces path with os.replace.
 
-    mode is "w" or "wb"; kwargs go to open(). If the block raises, path keeps
-    its old contents (or stays absent) and the temporary file is removed.
-    The temporary file is created like open(path, mode) would create path,
-    so the umask sets its permissions.
+    If the block raises, path keeps its old contents (or stays absent) and
+    the temporary file is removed. The temporary file is created like
+    open(path, "wb") would create path, so the umask sets its permissions.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+        with open(tmp, "xb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -77,7 +78,7 @@ def read_into(fh, path, out: np.ndarray) -> np.ndarray:
 
 def write_binary(path, head: bytes, *arrays) -> None:
     """Write head, then each (array, dtype) pair as dtype via atomic_open."""
-    with atomic_open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(head)
         for array, dtype in arrays:
             fh.write(np.ascontiguousarray(array, dtype=dtype))

@@ -8,14 +8,12 @@ print a single line "error: <category>: <message>" to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_open
+from ._files import write_binary
 from .data import (
     StreamedDataset,
     load_dataset,
@@ -37,6 +35,10 @@ from .train import (
     train,
 )
 
+# Hyperparams field -> the option that sets it; Hyperparams() gives these
+# options' defaults
+_HYPER_OPTIONS = {"eta": "eta", "beta": "beta", "lr": "lr", "code_bits": "bits",
+                  "batch_size": "batch", "epochs": "epochs", "seed": "seed"}
 # Every option: flag name -> (metavar, or the tuple of allowed values;
 # default, or None; the type its value converts to; what a bad value's error
 # says it expects). The parser, the defaults, the flag merge, the check on
@@ -47,13 +49,13 @@ _OPTIONS = {
     "labels": ("PATH", None, str, ""),
     "checkpoint": ("PATH", None, str, ""),
     "codes": ("PATH", None, str, ""),
-    "bits": ("K", "16", int, "a positive integer"),
-    "eta": ("F", "0.2", float, "a real in [0,1]"),
-    "beta": ("F", "25", float, "a real >= 0"),
-    "lr": ("F", "3e-4", float, "a positive real"),
-    "epochs": ("N", "100", int, "a nonnegative integer"),
-    "batch": ("N", "32", int, "a positive integer"),
-    "seed": ("N", "0", int, "a nonnegative integer"),
+    "bits": ("K", None, int, "a positive integer"),
+    "eta": ("F", None, float, "a real in [0,1]"),
+    "beta": ("F", None, float, "a real >= 0"),
+    "lr": ("F", None, float, "a positive real"),
+    "epochs": ("N", None, int, "a nonnegative integer"),
+    "batch": ("N", None, int, "a positive integer"),
+    "seed": ("N", None, int, "a nonnegative integer"),
     "topk": ("N", "10", int, "a positive integer"),
     "radius": ("N", None, int, "a nonnegative integer"),
     "database": (("train", "all"), "train", str, ""),
@@ -61,11 +63,10 @@ _OPTIONS = {
 }
 _CONFIG_KEYS = frozenset(_OPTIONS) - {"config"}
 _DEFAULTS = {key: row[1] for key, row in _OPTIONS.items() if row[1] is not None}
+_DEFAULTS.update((key, str(getattr(Hyperparams(), name)))
+                 for name, key in _HYPER_OPTIONS.items())
 # what a comma-separated sweep grid of each type expects
 _GRID_OF = {int: "integers", float: "reals"}
-# Hyperparams field -> the option that sets it
-_HYPER_OPTIONS = {"eta": "eta", "beta": "beta", "lr": "lr", "code_bits": "bits",
-                  "batch_size": "batch", "epochs": "epochs", "seed": "seed"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,12 +142,11 @@ def _outdir(opts: dict[str, str]) -> Path:
 
 
 def _write_trace_csv(trace, path) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "total", "similarity", "label"])
-        for row in trace:
-            writer.writerow([row.epoch, repr(row.total), repr(row.similarity),
-                             repr(row.label)])
+    # repr floats and CRLF line ends, as csv.writer wrote them
+    write_binary(path, "".join(
+        ["epoch,total,similarity,label\r\n"]
+        + [f"{row.epoch},{row.total!r},{row.similarity!r},{row.label!r}\r\n"
+           for row in trace]).encode())
 
 
 def cmd_train(opts: dict[str, str]) -> int:
@@ -224,13 +224,11 @@ def cmd_query(opts: dict[str, str]) -> int:
         shown = len(ranking)
         if radius is not None:
             shown = int(np.searchsorted(ranking.distances, radius, side="right"))
-        text = io.StringIO()
-        csv.writer(text).writerows(zip(
+        return "".join(map("%d,%d,%d,%d,%d\r\n".__mod__, zip(
             range(1, shown + 1), ranking.ids[:shown].tolist(),
             ranking.distances[:shown].tolist(),
             ranking.labels[:shown].tolist(),
-            ranking.predicted[:shown].tolist()))
-        return text.getvalue()
+            ranking.predicted[:shown].tolist())))
 
     # queries with equal codes print the same rows, made once per code
     sys.stdout.writelines(per_group(codes, rows_text))
@@ -305,11 +303,10 @@ def cmd_sweep(opts: dict[str, str]) -> int:
         rows.append((bits, eta, beta, report.map, report.oa))
         print(f"bits={bits:<3} eta={eta:<5} beta={beta:<6} "
               f"MAP={report.map:.4f} OA={report.oa:.4f}")
-    with atomic_open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bits", "eta", "beta", "map", "oa"])
-        for bits, eta, beta, map_value, oa in rows:
-            writer.writerow([bits, eta, beta, f"{map_value:.6f}", f"{oa:.6f}"])
+    write_binary(out / "sweep.csv", "".join(
+        ["bits,eta,beta,map,oa\r\n"]
+        + [f"{bits},{eta},{beta},{map_value:.6f},{oa:.6f}\r\n"
+           for bits, eta, beta, map_value, oa in rows]).encode())
     return 0
 
 

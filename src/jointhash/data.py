@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import U32_MAX, atomic_open, open_binary, read_into, write_binary
+from ._files import U32_MAX, open_binary, read_into, write_binary
 from .errors import ConfigError, DataError, FormatError
 
 FEATURE_MAGIC = b"FEAT"
@@ -259,8 +259,7 @@ def write_label_file(path, labels: np.ndarray,
     y = class_indices(labels, len(labels), classes, fail)
     lines = [] if num_classes is None else [f"classes={classes}"]
     lines.extend(map(str, y.tolist()))
-    with atomic_open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_binary(path, ("\n".join(lines) + "\n").encode())
 
 
 # a label file whose labels parse all at once: an optional classes=C line,

@@ -96,10 +96,8 @@ def _pr_by_radius(counts: np.ndarray, hit_ranks: np.ndarray) -> PRCurve:
     hits = np.searchsorted(hit_ranks, counts)
     vacuous = counts == 0
     precision = np.where(vacuous, 1.0, hits / np.maximum(counts, 1))
-    if hit_ranks.size > 0:
-        recall = hits / hit_ranks.size
-    else:
-        recall = np.zeros(counts.size)
+    # with no hit ranks every hit count is 0, so recall is 0 at every radius
+    recall = hits / max(hit_ranks.size, 1)
     return PRCurve(precision=precision, recall=recall, vacuous=vacuous)
 
 
@@ -164,8 +162,8 @@ class _CodeRanking:
     """What the queries sharing one code keep of its full ranking.
 
     counts[t] is the number of rows within radius t, hit_ranks maps each query
-    label key to the ranks of the rows with that label, and excluded maps
-    each row a query leaves out to its rank and distance.
+    label to the ranks of the rows with that label, and excluded maps each
+    row a query leaves out to its rank and distance.
     """
 
     counts: np.ndarray
@@ -173,15 +171,15 @@ class _CodeRanking:
     excluded: dict
 
 
-def _rank_code(query_code: np.ndarray, table: CodeTable, labels: dict,
+def _rank_code(query_code: np.ndarray, table: CodeTable, labels,
                exclude_rows: list) -> _CodeRanking:
-    """Rank the table once for a code; labels maps each key to a label."""
+    """Rank the table once for a code, with the hit ranks of each label."""
     ranking = rank_all(query_code, table)
     # radii in the distances' own dtype, so searchsorted does not widen them
     radii = np.arange(table.code_bits + 1, dtype=ranking.distances.dtype)
     counts = np.searchsorted(ranking.distances, radii, side="right")
-    hit_ranks = {key: np.flatnonzero(ranking.labels == label)
-                 for key, label in labels.items()}
+    hit_ranks = {label: np.flatnonzero(ranking.labels == label)
+                 for label in labels}
     excluded = {}
     for row in exclude_rows:
         # ties keep table order, so the row sits in the ranking's block of
@@ -193,11 +191,11 @@ def _rank_code(query_code: np.ndarray, table: CodeTable, labels: dict,
     return _CodeRanking(counts, hit_ranks, excluded)
 
 
-def _query_pass(code: _CodeRanking, key,
+def _query_pass(code: _CodeRanking, label,
                 exclude_row: int | None) -> tuple[np.ndarray, PRCurve]:
     """The hit ranks and precision/recall curve of one query with this code
-    and label key, as if exclude_row had been left out of the table."""
-    hit_ranks, counts = code.hit_ranks[key], code.counts
+    and label, as if exclude_row had been left out of the table."""
+    hit_ranks, counts = code.hit_ranks[label], code.counts
     if exclude_row is not None:
         # drop the row's rank if it is a hit, move later hits up by one, and
         # take the row out of every radius that holds it
@@ -214,17 +212,8 @@ def precision_recall_curve(query_code: np.ndarray, table: CodeTable,
     """Precision/recall per Hamming radius for one query against the table."""
     if len(table) == 0:
         raise ValueError("precision-recall curve needs a nonempty table")
-    code = _rank_code(query_code, table, {0: query_label}, [])
-    return _query_pass(code, 0, None)[1]
-
-
-def overall_accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
-    """Fraction of exact label matches."""
-    p = np.asarray(predicted)
-    t = np.asarray(true)
-    if p.shape != t.shape or p.ndim != 1 or p.size == 0:
-        raise DimensionError("predicted and true labels must be equal-length, nonempty")
-    return float(np.mean(p == t))
+    code = _rank_code(query_code, table, [query_label], [])
+    return _query_pass(code, query_label, None)[1]
 
 
 @dataclass
@@ -293,13 +282,13 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     k_float = np.arange(1, depth + 2, dtype=np.float64)
     quotient = np.empty(ks.size)
 
-    labels, label_of = np.unique(query_labels, return_inverse=True)
-    label_of = label_of.tolist()
+    # hit ranks are keyed by these objects, so a nan label finds its own
+    labels = query_labels.tolist()
 
     def rank_code(queries: list) -> _CodeRanking:
         # the labels and left-out rows of the queries that share a code
         return _rank_code(query_codes[queries[0]], table,
-                          {label_of[q]: labels[label_of[q]] for q in queries},
+                          {labels[q] for q in queries},
                           [exclude_rows[q] for q in queries if exclude_rows])
 
     aps = np.empty(nq)
@@ -316,9 +305,9 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     kept = 0
 
     ranked = per_group(query_codes, rank_code)
-    for q, (code, key) in enumerate(zip(ranked, label_of)):
+    for q, (code, label) in enumerate(zip(ranked, labels)):
         hit_ranks, curve = _query_pass(
-            code, key, None if exclude_rows is None else exclude_rows[q])
+            code, label, None if exclude_rows is None else exclude_rows[q])
         aps[q] = _average_precision(hit_ranks)
         pr_prec_sum += curve.precision
         pr_rec_sum += curve.recall
@@ -345,8 +334,8 @@ def evaluate(table: CodeTable, query_codes: np.ndarray,
     _add_tail(prec_sum, rec_sum, relevant[:kept], frontier, depth, k_float)
 
     oa = None
-    if query_predicted is not None:
-        oa = overall_accuracy(query_predicted, query_labels)
+    if query_predicted is not None:  # its shape (nq,) is checked above
+        oa = float(np.mean(np.asarray(query_predicted) == query_labels))
     return EvalReport(
         map=float(aps.mean()),
         ks=ks,
@@ -371,7 +360,7 @@ _FIXED_LIMIT = 2.0**34
 _TIE_MARGIN = 2.0**-18
 
 
-def _render(row_format: str, columns) -> str:
+def _render(row_format: str, columns) -> bytes:
     """row_format for each row of the columns, which fill its %d and %.10f
     fields in order, as one (rows, width) byte matrix whose 0 bytes are
     dropped. A field ends in its value's digits, for %.10f those of
@@ -418,7 +407,7 @@ def _render(row_format: str, columns) -> str:
         matrix[bad, start:stop] = 0
         for row, text in zip(bad.tolist(), texts):
             matrix[row, start:start + len(text)] = np.frombuffer(text, np.uint8)
-    return matrix.tobytes().replace(b"\0", b"").decode()
+    return matrix.tobytes().replace(b"\0", b"")
 
 
 def write_report_json(report: EvalReport, path) -> None:
@@ -439,33 +428,34 @@ def write_report_json(report: EvalReport, path) -> None:
                                           report.pr_recall.tolist(),
                                           report.vacuous_radius_counts.tolist()))
     ]}, indent=2)
-    with atomic_open(path, "w") as fh:
-        fh.write(head[:-2] + ",\n")  # drop the closing "\n}"
+    with atomic_open(path) as fh:
+        fh.write(head[:-2].encode() + b",\n")  # drop the closing "\n}"
         for name, values in (("precision_at", report.precision_at),
                              ("recall_at", report.recall_at)):
-            fh.write(f'  "{name}": {{')
+            fh.write(f'  "{name}": {{'.encode())
             for start in range(0, report.ks.size, _CHUNK_ROWS):
                 rows = slice(start, start + _CHUNK_ROWS)
-                # a row opens with the comma that ends the row before it
+                # a row opens with the comma that ends the row before it; the
+                # bytes template's %r writes each float's repr
                 template = _render(',\n    "%d": %r', [report.ks[rows]])
                 fh.write(template[0 if start else 1:]
                          % tuple(values[rows].tolist()))
-            fh.write("\n  },\n" if report.ks.size else "},\n")
-        fh.write(tail[2:] + "\n")  # drop the opening "{\n"
+            fh.write(b"\n  },\n" if report.ks.size else b"},\n")
+        fh.write(tail[2:].encode() + b"\n")  # drop the opening "{\n"
 
 
 def write_curve_csvs(report: EvalReport, out_dir) -> None:
     """curve_topk.csv and curve_radius.csv: 10 decimals, CRLF line ends."""
     out_dir = Path(out_dir)
     for name, header, row_format, columns in (
-            ("curve_topk.csv", "k,precision,recall", "%d,%.10f,%.10f\r\n",
+            ("curve_topk.csv", b"k,precision,recall", "%d,%.10f,%.10f\r\n",
              (report.ks, report.precision_at, report.recall_at)),
-            ("curve_radius.csv", "radius,precision,recall,vacuous_queries",
+            ("curve_radius.csv", b"radius,precision,recall,vacuous_queries",
              "%d,%.10f,%.10f,%d\r\n",
              (np.arange(report.pr_precision.size), report.pr_precision,
               report.pr_recall, report.vacuous_radius_counts))):
-        with atomic_open(out_dir / name, "w", newline="") as fh:
-            fh.write(header + "\r\n")
+        with atomic_open(out_dir / name) as fh:
+            fh.write(header + b"\r\n")
             for start in range(0, len(columns[0]), _CHUNK_ROWS):
                 fh.write(_render(row_format, [c[start:start + _CHUNK_ROWS]
                                               for c in columns]))

@@ -165,15 +165,6 @@ def logistic(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction, as one new array."""
-    s = np.asarray(scores, dtype=np.float64)
-    e = s - np.maximum.reduce(s, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
-
-
 def class_scores(u: np.ndarray, params: ModelParams) -> np.ndarray:
     """Class distribution softmax(W*u + b) for one hash-like vector or a batch."""
     u = np.asarray(u, dtype=np.float64)
@@ -184,7 +175,11 @@ def class_scores(u: np.ndarray, params: ModelParams) -> np.ndarray:
         )
     scores = u @ params.cls_weights.T
     scores += params.cls_bias
-    return softmax(scores)
+    # row-wise softmax with max subtraction, in place
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
 
 
 def predict_labels(t: np.ndarray) -> np.ndarray:

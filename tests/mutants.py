@@ -138,6 +138,18 @@ MUTANTS = [
            "            if i > frac:\n", "            if i >= frac:\n",
            [_WRITERS + "test_bytes_match_reference[no_oa-1]",
             _WRITERS + "test_edge_values_match_reference[sign_and_range]"]),
+    # the text rows of trace.csv, sweep.csv and query's stdout
+    Mutant("trace-total-fixed-point", "cli.py", "{row.total!r}",
+           "{row.total:f}",
+           ["tests/test_cli.py::TestTrain::test_trace_csv_bytes_match_csv_writer"]),
+    Mutant("sweep-eta-general-format", "cli.py",
+           'f"{bits},{eta},{beta},', 'f"{bits},{eta:g},{beta},',
+           ["tests/test_cli.py::TestSweep::test_csv_bytes_match_csv_writer"]),
+    Mutant("query-rows-lf-only", "cli.py", '"%d,%d,%d,%d,%d\\r\\n"',
+           '"%d,%d,%d,%d,%d\\n"',
+           ["tests/test_cli.py::TestQuery::test_u32_ids_match_csv_writer[None]",
+            "tests/test_cli.py::TestQuery::test_u32_ids_match_csv_writer[0]",
+            "tests/test_cli.py::TestQuery::test_rows_match_full_ranking[16]"]),
     # evaluate's frontier and the tail it sums in blocks
     Mutant("tail-frontier-one-short", "metrics.py",
            "first, last = int(hit_ranks[0]), int(hit_ranks[-1])\n",

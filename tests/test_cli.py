@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from jointhash.cli import main
+from jointhash.cli import _write_trace_csv, main
 from jointhash.data import (
     BLOCK_ROWS,
     load_dataset,
@@ -24,14 +24,18 @@ from jointhash.data import (
     write_label_file,
 )
 from jointhash.index import CodeTable, load_code_table, rank_all, save_code_table
+from jointhash.model import ModelParams, pack_codes
 from jointhash.objective import Hyperparams
 from jointhash.train import (
     Checkpoint,
+    EpochStats,
+    TrainConfig,
     encode,
     encode_database,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    train,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +54,17 @@ def corpus(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def csv_writer_bytes(rows):
+    """Reference: the rows as csv.writer writes them, CRLF line ends."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+# floats whose reprs are long, subnormal, in exponent form or signed zero
+EDGE_FLOATS = [1e-300, 5e-324, 1e16, -0.0]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +93,31 @@ class TestTrain:
         assert len(rows) == 30
         assert rows[0]["epoch"] == "1"
         assert float(rows[-1]["total"]) < float(rows[0]["total"])
+
+    def test_trace_csv_bytes_match_csv_writer(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        trace = [EpochStats(1, *EDGE_FLOATS[:3]),
+                 EpochStats(2, EDGE_FLOATS[3], nan, -inf),
+                 EpochStats(2**32 - 1, 0.1, 1.5, 3.0)]
+        _write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(
+            [["epoch", "total", "similarity", "label"]]
+            + [[row.epoch, repr(row.total), repr(row.similarity),
+                repr(row.label)] for row in trace])
+
+    def test_defaults_are_hyperparams_defaults(self, corpus, tmp_path):
+        # no hyperparameter flag: the checkpoint of train(ds, Hyperparams())
+        assert run("train", "--features", corpus / "train" / "features.feat",
+                   "--labels", corpus / "train" / "labels.txt",
+                   "--out", tmp_path) == 0
+        hyper = Hyperparams()
+        params, _ = train(load_dataset(corpus / "train" / "features.feat",
+                                       corpus / "train" / "labels.txt"),
+                          TrainConfig(hyper))
+        save_checkpoint(Checkpoint(params, hyper, hyper.epochs),
+                        tmp_path / "library.bin")
+        assert (tmp_path / "checkpoint.bin").read_bytes() == \
+               (tmp_path / "library.bin").read_bytes()
 
     def test_checkpoint_loadable(self, trained):
         cp = load_checkpoint(trained / "checkpoint.bin")
@@ -332,6 +372,39 @@ class TestQuery:
                    "--codes", trained / "db.htbl",
                    "--features", tmp_path / "none.feat") == 0
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("radius", [None, 0])
+    def test_u32_ids_match_csv_writer(self, tmp_path, capsys, radius):
+        # a code is all +1 or all -1 by the sign of feature 0, and no table
+        # row is all -1: those queries show no row within radius 0
+        bits, n = 8, 20
+        params = ModelParams(np.tile([1.0, 0.0], (bits, 1)), np.zeros(bits),
+                             np.ones((2, bits)), np.zeros(2))
+        save_checkpoint(Checkpoint(params, Hyperparams(code_bits=bits), 1),
+                        tmp_path / "checkpoint.bin")
+        rng = np.random.default_rng(0)
+        signs = np.where(rng.random((n, bits)) > 0.5, 1, -1)
+        signs[::3] = 1
+        u32 = 2**32 - 1
+        table = CodeTable(codes=pack_codes(signs), ids=u32 - 7 * np.arange(n),
+                          labels=rng.integers(u32 - 2, u32, n, endpoint=True),
+                          predicted=rng.integers(0, u32, n, endpoint=True),
+                          code_bits=bits)
+        save_code_table(table, tmp_path / "db.htbl")
+        features = np.array([[1.0, 0.0], [-1.0, 0.0], [-2.0, 1.0], [3.0, 0.0]])
+        write_feature_file(tmp_path / "q.feat", features)
+        codes, _ = encode(params, features)
+        expected = full_ranking_rows(codes, table, n, radius).encode()
+        argv = ["query", "--checkpoint", tmp_path / "checkpoint.bin",
+                "--codes", tmp_path / "db.htbl",
+                "--features", tmp_path / "q.feat", "--topk", n]
+        if radius is not None:
+            argv += ["--radius", radius]
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.encode() == expected
+        assert str(u32).encode() in expected
+        if radius == 0:
+            assert expected.count(b"\r\n") == 2 * np.all(signs > 0, axis=1).sum()
 
     def test_topk_out_of_range_is_config_error(self, corpus, trained):
         code = run("query", "--checkpoint", trained / "checkpoint.bin",
@@ -666,6 +739,25 @@ class TestSweep:
         for r in rows:
             assert 0.0 <= float(r["map"]) <= 1.0
             assert 0.0 <= float(r["oa"]) <= 1.0
+
+    def test_csv_bytes_match_csv_writer(self, corpus, tmp_path, monkeypatch):
+        etas, betas = EDGE_FLOATS[:2] + EDGE_FLOATS[3:], [1e16, 0.0]
+        scores = [*EDGE_FLOATS, 0.9999995, 1.0, 0.5, 0.1234565, 1 / 3, 2 / 3,
+                  0.0, 1e-7]
+        reports = iter(SimpleNamespace(map=m, oa=o)
+                       for m, o in zip(scores[::2], scores[1::2]))
+        monkeypatch.setattr("jointhash.cli.evaluate",
+                            lambda *args, **kwargs: next(reports))
+        assert run("sweep", "--features", corpus / "train" / "features.feat",
+                   "--labels", corpus / "train" / "labels.txt", "--bits", "4",
+                   "--eta", ",".join(map(repr, etas)),
+                   "--beta", ",".join(map(repr, betas)),
+                   "--epochs", "1", "--out", tmp_path) == 0
+        grid = [(4, eta, beta) for eta in etas for beta in betas]
+        assert (tmp_path / "sweep.csv").read_bytes() == csv_writer_bytes(
+            [["bits", "eta", "beta", "map", "oa"]]
+            + [[*point, f"{m:.6f}", f"{o:.6f}"] for point, m, o
+               in zip(grid, scores[::2], scores[1::2])])
 
     @pytest.mark.parametrize("flag, grid, line", [
         pytest.param("--bits", "8,0", "code_bits must be >= 1, got 0",

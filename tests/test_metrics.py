@@ -18,7 +18,6 @@ from jointhash.metrics import (
     average_precision,
     evaluate,
     mean_average_precision,
-    overall_accuracy,
     precision_at_k,
     precision_recall_curve,
     recall_at_k,
@@ -246,18 +245,27 @@ class TestPrecisionRecallCurve:
 
 
 class TestOverallAccuracy:
+    """evaluate's OA is the fraction of exact label matches."""
+
+    @staticmethod
+    def oa(predicted, labels):
+        table = build_table(np.array([[1, -1]]), np.array([0]))
+        codes = pack_codes(np.ones((len(labels), 2), dtype=np.int8))
+        return evaluate(table, codes, np.array(labels),
+                        query_predicted=np.array(predicted)).oa
+
     def test_all_correct(self):
-        assert overall_accuracy([1, 2, 3], [1, 2, 3]) == 1.0
+        assert self.oa([1, 2, 3], [1, 2, 3]) == 1.0
 
     def test_none_correct(self):
-        assert overall_accuracy([1, 1], [0, 2]) == 0.0
+        assert self.oa([1, 1], [0, 2]) == 0.0
 
     def test_half(self):
-        assert overall_accuracy([0] * 5 + [1] * 5, [0] * 10) == 0.5
+        assert self.oa([0] * 5 + [1] * 5, [0] * 10) == 0.5
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            overall_accuracy([1], [1, 2])
+            self.oa([1], [1, 2])
 
 
 class TestEvaluate:
@@ -503,7 +511,7 @@ def reference_evaluate(table, query_codes, query_labels, query_predicted=None,
 
     oa = None
     if query_predicted is not None:
-        oa = overall_accuracy(query_predicted, query_labels)
+        oa = float(np.mean(np.asarray(query_predicted) == query_labels))
     return EvalReport(
         map=float(aps.mean()),
         ks=ks,
@@ -867,7 +875,7 @@ class TestReportWriters:
         # any float64 gives '%.10f''s text, and no RuntimeWarning (which the
         # test configuration turns into an error)
         got = jointhash.metrics._render("%.10f|", [np.array(values)])
-        assert got == "".join("%.10f|" % v for v in values)
+        assert got == "".join("%.10f|" % v for v in values).encode()
 
     @pytest.mark.parametrize("writer", ["write_report_json", "write_curve_csvs"])
     def test_peak_memory_at_benchmark_rows(self, writer, tmp_path):
